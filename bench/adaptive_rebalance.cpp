@@ -30,6 +30,7 @@
 
 #include "bench/bench_json.hpp"
 #include "fmo/scenario.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "fmo/driver.hpp"
 #include "hslb/budget.hpp"
@@ -73,7 +74,7 @@ int main() {
   // --- Straggler sweep: static / adaptive / DLB degradation. -------------
   const std::vector<double> severities = scenario::straggler_severities();
   Table t({"straggler cv", "static s", "adaptive s", "DLB s", "static degr",
-           "adaptive degr", "adaptive/DLB", "rebal"});
+           "adaptive degr", "adaptive/DLB", "rebal", "fallbk/refits"});
   double stat0 = 0.0, adap0 = 0.0, dlb0 = 0.0;
   double adap_degr_worst = 0.0, adap_over_dlb_worst = 0.0;
   for (double cv : severities) {
@@ -106,7 +107,9 @@ int main() {
                Table::num(stat.dlb.total_seconds, 3),
                Table::num(stat_degr, 3), Table::num(adap_degr, 3),
                Table::num(adap_over_dlb, 3),
-               Table::num(static_cast<double>(adap.report.rebalances), 0)});
+               Table::num(static_cast<double>(adap.report.rebalances), 0),
+               strings::format("%zu/%zu", adap.report.refit_fallbacks,
+                               adap.report.task_refits)});
     bench::merge_json(
         kJsonPath, "adaptive/straggler_cv_" + cv_label(cv),
         {{"static_total_s", stat.hslb.total_seconds},
@@ -117,6 +120,8 @@ int main() {
          {"dlb_degradation", dlb_degr},
          {"adaptive_over_dlb", adap_over_dlb},
          {"rebalances", static_cast<double>(adap.report.rebalances)},
+         {"task_refits", static_cast<double>(adap.report.task_refits)},
+         {"refit_fallbacks", static_cast<double>(adap.report.refit_fallbacks)},
          {"migration_s", adap.report.migration_seconds}});
   }
   std::printf("%zu fragments on %lld nodes; full pipeline per cell, common\n"

@@ -629,27 +629,30 @@ int main(int argc, char** argv) {
 
   std::printf("%s", t.str().c_str());
 
+  // The sparse and presolve tables share two headline instances. The FMO
+  // one is the first 32-task draw of a fresh Rng(424242); it is a different
+  // instance from the cold/warm table's fmo_minmax_T32, which that stream
+  // draws after T8 and T16, hence the distinct label.
+  Rng fresh_rng(424242);
+  const struct {
+    const char* label;
+    minlp::Model model;
+  } headline_instances[] = {
+      {"layout1_N40960", layout1_model(40960)},
+      {"fmo_minmax_T32_fresh", fmo_minmax_model(32, fresh_rng)},
+  };
+
   // -- Dense-vs-sparse kernel acceptance on the headline instances ----------
   std::printf("\n=== Sparse vs dense-equivalent simplex kernels ===\n\n");
   Table st({"instance", "kernels", "objective", "ms", "eta nnz/pivot",
             "flops/pivot red."});
   double min_flop_reduction = 1e30;
   double min_sparse_speedup = 1e30;
-  {
-    Rng srng(424242);
-    const struct {
-      const char* label;
-      minlp::Model model;
-    } sparse_instances[] = {
-        {"layout1_N40960", layout1_model(40960)},
-        {"fmo_minmax_T32", fmo_minmax_model(32, srng)},
-    };
-    for (const auto& inst : sparse_instances) {
-      const auto rep = bench_sparse_kernels(st, inst.label, inst.model, reps);
-      all_match = all_match && rep.objectives_match;
-      min_flop_reduction = std::min(min_flop_reduction, rep.flop_reduction);
-      min_sparse_speedup = std::min(min_sparse_speedup, rep.speedup);
-    }
+  for (const auto& inst : headline_instances) {
+    const auto rep = bench_sparse_kernels(st, inst.label, inst.model, reps);
+    all_match = all_match && rep.objectives_match;
+    min_flop_reduction = std::min(min_flop_reduction, rep.flop_reduction);
+    min_sparse_speedup = std::min(min_sparse_speedup, rep.speedup);
   }
   std::printf("%s", st.str().c_str());
 
@@ -660,24 +663,14 @@ int main(int argc, char** argv) {
   bool presolve_nodes_ok = true;
   double presolve_total_off_s = 0.0, presolve_total_on_s = 0.0;
   std::size_t presolve_total_nodes_off = 0, presolve_total_nodes_on = 0;
-  {
-    Rng prng(424242);
-    const struct {
-      const char* label;
-      minlp::Model model;
-    } presolve_instances[] = {
-        {"layout1_N40960", layout1_model(40960)},
-        {"fmo_minmax_T32", fmo_minmax_model(32, prng)},
-    };
-    for (const auto& inst : presolve_instances) {
-      const auto rep = bench_presolve(pt, inst.label, inst.model, reps);
-      all_match = all_match && rep.objectives_match;
-      presolve_nodes_ok = presolve_nodes_ok && rep.nodes_not_inflated;
-      presolve_total_off_s += rep.off_s;
-      presolve_total_on_s += rep.on_s;
-      presolve_total_nodes_off += rep.nodes_off;
-      presolve_total_nodes_on += rep.nodes_on;
-    }
+  for (const auto& inst : headline_instances) {
+    const auto rep = bench_presolve(pt, inst.label, inst.model, reps);
+    all_match = all_match && rep.objectives_match;
+    presolve_nodes_ok = presolve_nodes_ok && rep.nodes_not_inflated;
+    presolve_total_off_s += rep.off_s;
+    presolve_total_on_s += rep.on_s;
+    presolve_total_nodes_off += rep.nodes_off;
+    presolve_total_nodes_on += rep.nodes_on;
   }
   std::printf("%s", pt.str().c_str());
   // The gain target is over the acceptance set as a whole: layout1_N40960

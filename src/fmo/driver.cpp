@@ -528,6 +528,7 @@ PipelineResult run_pipeline(const System& sys, const CostModel& cost,
   PipelineResult out;
   out.bench = std::move(run.bench);
   out.fits = std::move(run.fits);
+  out.final_fits = std::move(run.final_fits);
   out.allocation = std::move(run.solution.allocation);
   out.min_r2 = 1.0;
   double r2_sum = 0.0;

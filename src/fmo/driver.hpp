@@ -112,6 +112,9 @@ struct PipelineOptions {
 struct PipelineResult {
   perf::BenchTable bench;  ///< Gather output (monomer probes)
   std::vector<std::pair<std::string, perf::FitResult>> fits;
+  /// The closed-loop controller's models at the end of Execute; empty on a
+  /// static run, where the models in force are `fits`.
+  std::vector<std::pair<std::string, perf::FitResult>> final_fits;
   Allocation allocation;   ///< Solve output: nodes per fragment
 
   /// Predicted models for every SCF dimer (from the probed subset), used

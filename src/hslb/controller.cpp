@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/contracts.hpp"
+#include "common/parallel.hpp"
 #include "perf/terms.hpp"
 
 namespace hslb {
@@ -45,7 +46,7 @@ Controller::Controller(RebalancePolicy policy, perf::FitOptions fit_options,
 AdaptiveResult Controller::run(
     Application& app, const perf::BenchTable& bench,
     const std::vector<std::pair<std::string, perf::FitResult>>& fits,
-    const SolveOutcome& solution) const {
+    const SolveOutcome& solution, ThreadPool& pool) const {
   AdaptiveResult out;
   out.solution = solution;
   out.fits = fits;
@@ -92,26 +93,32 @@ AdaptiveResult Controller::run(
     // -- Refit ---------------------------------------------------------------
     // Tasks with fresh observations are refitted warm from their previous
     // parameters; the rest keep their models, so an isolated straggler
-    // only perturbs the fragments it actually slowed.
-    auto new_fits = out.fits;
-    bool refitted = false;
-    for (auto& [task, fit] : new_fits) {
-      const bool has_obs =
-          std::any_of(window.begin(), window.end(),
-                      [&task = task](const perf::Observed& o) {
+    // only perturbs the fragments it actually slowed. The refits of one
+    // round are independent, so they run on the pool; each writes only its
+    // own task's slot, which keeps the models identical for every thread
+    // count.
+    std::vector<std::size_t> stale;  // indices into out.fits, in order
+    for (std::size_t i = 0; i < out.fits.size(); ++i) {
+      const std::string& task = out.fits[i].first;
+      if (std::any_of(window.begin(), window.end(),
+                      [&task](const perf::Observed& o) {
                         return o.task == task;
-                      });
-      if (!has_obs) continue;
+                      }))
+        stale.push_back(i);
+    }
+    pool.parallel_for(stale.size(), [&](std::size_t k) {
+      auto& [task, fit] = out.fits[stale[k]];
       const auto it = gathered.find(task);
       HSLB_ASSERT(it != gathered.end());
       const perf::SampleSet samples = perf::fold_observations(
           *it->second, window, task, epoch, policy_.refit_window,
           policy_.observation_weight);
       fit = perf::refit_cost(samples, spec_, fit, fit_options_);
-      refitted = true;
-    }
-    if (refitted) ++out.refits;
-    out.fits = std::move(new_fits);
+    });
+    if (!stale.empty()) ++out.refits;
+    out.task_refits += stale.size();
+    for (const std::size_t i : stale)
+      if (out.fits[i].second.refit_fallback) ++out.refit_fallbacks;
 
     // -- Warm re-solve + accept test -----------------------------------------
     const ResolveOutcome proposal = app.resolve(out.fits, out.solution);

@@ -14,7 +14,8 @@
 //
 // Every decision is a pure function of the epoch outcomes and the policy —
 // no wall-clock, no shared mutable state — so the rebalance sequence is
-// identical for every worker/solver thread count.
+// identical for every worker/solver thread count. The refits of one round
+// run in parallel on the pipeline's pool, each landing at its task's index.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +34,11 @@ struct AdaptiveResult {
   std::size_t triggers = 0;    ///< monitor trips (including rejected ones)
   std::size_t rebalances = 0;  ///< accepted mid-run reallocations
   std::size_t refits = 0;      ///< refit rounds performed
+  std::size_t task_refits = 0; ///< per-task refits over all rounds
+  /// Per-task refits whose warm Levenberg-Marquardt run did not converge,
+  /// so perf::refit_cost fell back to the full multistart
+  /// (FitResult::refit_fallback).
+  std::size_t refit_fallbacks = 0;
   double migration_seconds = 0.0;  ///< total stall charged by migrations
   double actual_total = 0.0;       ///< Application::finish_epochs() metric
   double max_drift = 0.0;          ///< worst windowed prediction drift seen
@@ -52,11 +58,14 @@ class Controller {
 
   /// Runs `app` epoch by epoch from the initial Solve outputs. `bench` and
   /// `fits` are the Gather/Fit stage outputs (refits fold observations into
-  /// the gathered samples); `solution` is the initial allocation.
+  /// the gathered samples); `solution` is the initial allocation. The
+  /// per-task refits of each round run on `pool`; the result is identical
+  /// for every pool size. The Application hooks are only ever called from
+  /// the calling thread.
   AdaptiveResult run(Application& app, const perf::BenchTable& bench,
                      const std::vector<std::pair<std::string, perf::FitResult>>&
                          fits,
-                     const SolveOutcome& solution) const;
+                     const SolveOutcome& solution, ThreadPool& pool) const;
 
  private:
   RebalancePolicy policy_;

@@ -244,12 +244,15 @@ PipelineRun Pipeline::run(Application& app, ThreadPool& pool) const {
   t0 = std::chrono::steady_clock::now();
   if (options_.rebalance.adaptive && app.supports_epochs()) {
     const Controller controller(options_.rebalance, fit_opt, app.fit_spec());
-    const AdaptiveResult adaptive =
-        controller.run(app, out.bench, out.fits, out.solution);
+    AdaptiveResult adaptive =
+        controller.run(app, out.bench, out.fits, out.solution, pool);
     out.actual_total = adaptive.actual_total;
+    out.final_fits = std::move(adaptive.fits);
     out.report.rebalances = adaptive.rebalances;
     out.report.epochs = adaptive.rebalances + 1;
     out.report.migration_seconds = adaptive.migration_seconds;
+    out.report.task_refits = adaptive.task_refits;
+    out.report.refit_fallbacks = adaptive.refit_fallbacks;
   } else {
     out.actual_total = app.execute(out.solution);
   }

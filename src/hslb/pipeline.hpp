@@ -191,6 +191,11 @@ struct PipelineReport {
   std::size_t epochs = 1;          ///< allocation regimes executed (rebalances + 1)
   std::size_t rebalances = 0;      ///< accepted mid-run reallocations
   double migration_seconds = 0.0;  ///< total stall charged by migrations
+  /// Per-task refits the controller ran, and how many of them fell back
+  /// from the warm fit to the multistart (AdaptiveResult). Not part of
+  /// str() or the CSV row.
+  std::size_t task_refits = 0;
+  std::size_t refit_fallbacks = 0;
 
   /// Term-wise predicted vs actual task-seconds: Solve's term_predictions
   /// merged with the application's execution_term_seconds() by term name.
@@ -364,6 +369,9 @@ struct PipelineRun {
   perf::BenchTable bench;  ///< Gather output
   std::vector<std::pair<std::string, perf::FitResult>> fits;  ///< Fit output
   SolveOutcome solution;   ///< Solve output
+  /// The closed-loop controller's models when Execute ended; empty on a
+  /// static run, where the models in force are `fits`.
+  std::vector<std::pair<std::string, perf::FitResult>> final_fits;
   double actual_total = 0.0;  ///< Execute output
   /// Execute-step trace (empty when the application records none).
   sim::Trace trace;

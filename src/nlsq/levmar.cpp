@@ -17,13 +17,16 @@ double clamp_to_box(const Problem& pb, std::size_t i, double v) {
   const double hi = pb.upper.empty() ? kInf : pb.upper[i];
   return std::clamp(v, lo, hi);
 }
-}  // namespace
 
-double Problem::cost(std::span<const double> p) const {
-  const auto r = residuals(p);
+double sum_of_squares(const linalg::Vector& r) {
   double acc = 0.0;
   for (double v : r) acc += v * v;
   return acc;
+}
+}  // namespace
+
+double Problem::cost(std::span<const double> p) const {
+  return sum_of_squares(residuals(p));
 }
 
 linalg::Matrix numeric_jacobian(const Problem& problem,
@@ -62,12 +65,15 @@ LevMarResult minimize(const Problem& problem, std::span<const double> start,
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = clamp_to_box(problem, i, x[i]);
 
   LevMarResult result;
-  double cost = problem.cost(x);
+  // Residuals at x: evaluated once here, then taken over from each accepted
+  // trial point, so no iteration re-evaluates the point whose cost it
+  // already holds.
+  linalg::Vector r = problem.residuals(x);
+  double cost = sum_of_squares(r);
   double lambda = options.initial_lambda;
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    const auto r = problem.residuals(x);
     const auto jac = problem.jacobian ? problem.jacobian(x)
                                       : numeric_jacobian(problem, x);
     HSLB_ASSERT(jac.rows() == problem.num_residuals);
@@ -112,7 +118,8 @@ LevMarResult minimize(const Problem& problem, std::span<const double> start,
       for (std::size_t i = 0; i < x.size(); ++i)
         x_new[i] = clamp_to_box(problem, i, x[i] + delta[i]);
 
-      const double new_cost = problem.cost(x_new);
+      linalg::Vector r_new = problem.residuals(x_new);
+      const double new_cost = sum_of_squares(r_new);
       if (new_cost < cost) {
         // Accept.
         double step = 0.0, scale = 0.0;
@@ -124,6 +131,7 @@ LevMarResult minimize(const Problem& problem, std::span<const double> start,
         const bool tiny_decrease =
             (cost - new_cost) < options.cost_tol * (1.0 + cost);
         x = std::move(x_new);
+        r = std::move(r_new);
         cost = new_cost;
         lambda = std::max(lambda * options.lambda_down, 1e-12);
         stepped = true;

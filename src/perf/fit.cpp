@@ -235,7 +235,11 @@ FitResult refit_cost(const SampleSet& samples, const CostModelSpec& spec,
   const FitScales scales = make_scales(samples, options);
   const FitProblem fp = build_problem(samples, spec, scales, num_params);
   const auto res = nlsq::minimize(fp.problem, warm);
-  if (!res.converged) return fit_cost(samples, spec, options);
+  if (!res.converged) {
+    FitResult cold = fit_cost(samples, spec, options);
+    cold.refit_fallback = true;
+    return cold;
+  }
 
   FitResult out;
   out.cost = bind_params(spec, res.params);

@@ -61,6 +61,9 @@ struct FitResult {
   std::size_t starts_tried = 0;
   std::size_t starts_converged = 0;
   bool converged = false;
+  /// Set by refit_cost when the warm start did not converge and the
+  /// result comes from the full fit_cost multistart instead.
+  bool refit_fallback = false;
 };
 
 /// Fits one component's samples against an explicit term spec. Requires
@@ -116,7 +119,7 @@ double prediction_drift(const CostModel& model,
 /// Re-fits warm from a previous result: a single Levenberg-Marquardt run
 /// started at the previous parameters (projected into the data-driven fit
 /// box). When the warm descent fails to converge, falls back to the full
-/// fit_cost multistart. `previous.cost` must have been fitted against the
+/// fit_cost multistart and sets `refit_fallback`. `previous.cost` must have been fitted against the
 /// same spec (same terms, same parameter counts).
 FitResult refit_cost(const SampleSet& samples, const CostModelSpec& spec,
                      const FitResult& previous, const FitOptions& options = {});

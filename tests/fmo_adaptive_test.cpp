@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "fmo/driver.hpp"
 #include "fmo/molecule.hpp"
@@ -75,6 +77,50 @@ TEST(FmoAdaptive, ParityAcrossThreadCounts) {
   EXPECT_EQ(t1.hslb.trace.to_csv(), t4.hslb.trace.to_csv());
   EXPECT_EQ(t1.hslb.total_seconds, t4.hslb.total_seconds);
   EXPECT_EQ(t1.report.rebalances, t4.report.rebalances);
+}
+
+// ADPT-2b: the same parity when the loop acts. Under stragglers the
+// default policy rebalances, and every refit round runs on the pipeline's
+// pool; thread count must not leak into the models or the decisions.
+TEST(FmoAdaptive, StragglerRefitsIdenticalAcrossThreadCounts) {
+  const auto sys = small_system(55);
+  CostModel cost;
+  PipelineOptions adap;
+  adap.run.straggler_cv = 0.4;
+  adap.rebalance.adaptive = true;
+
+  adap.threads = 1;
+  const auto ref = run_pipeline(sys, cost, 64, adap);
+  EXPECT_GT(ref.report.rebalances, 0u);
+  EXPECT_GT(ref.report.task_refits, 0u);
+  ASSERT_EQ(ref.final_fits.size(), sys.num_fragments());
+
+  for (std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    adap.threads = threads;
+    const auto got = run_pipeline(sys, cost, 64, adap);
+    EXPECT_EQ(ref.hslb.trace.to_csv(), got.hslb.trace.to_csv());
+    EXPECT_EQ(ref.hslb.total_seconds, got.hslb.total_seconds);
+    EXPECT_EQ(ref.report.rebalances, got.report.rebalances);
+    EXPECT_EQ(ref.report.task_refits, got.report.task_refits);
+    EXPECT_EQ(ref.report.refit_fallbacks, got.report.refit_fallbacks);
+    ASSERT_EQ(ref.final_fits.size(), got.final_fits.size());
+    for (std::size_t i = 0; i < ref.final_fits.size(); ++i) {
+      const auto& [name, fit] = ref.final_fits[i];
+      EXPECT_EQ(name, got.final_fits[i].first);
+      const auto& other = got.final_fits[i].second.cost;
+      ASSERT_EQ(fit.cost.num_terms(), other.num_terms());
+      for (std::size_t k = 0; k < fit.cost.num_terms(); ++k) {
+        const auto want = fit.cost.params(k);
+        const auto have = other.params(k);
+        ASSERT_EQ(want.size(), have.size());
+        for (std::size_t j = 0; j < want.size(); ++j)
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(want[j]),
+                    std::bit_cast<std::uint64_t>(have[j]))
+              << name << " term " << k << " param " << j;
+      }
+    }
+  }
 }
 
 // ADPT-3: a permanent node failure the static schedule cannot survive is

@@ -120,6 +120,59 @@ TEST(LevMar, CostNeverIncreases) {
   EXPECT_LE(res.cost, initial_cost);
 }
 
+TEST(LevMar, ReportedCostIsExactCostAtReportedParams) {
+  // minimize() carries the accepted trial point's residuals forward instead
+  // of re-evaluating them; the cost it reports must still be exactly the
+  // SSE Problem::cost computes at the returned parameters.
+  Problem rosenbrock;
+  rosenbrock.num_params = 2;
+  rosenbrock.num_residuals = 2;
+  rosenbrock.residuals = [](std::span<const double> v) {
+    return linalg::Vector{10.0 * (v[1] - v[0] * v[0]), 1.0 - v[0]};
+  };
+  Problem coupled;
+  coupled.num_params = 2;
+  coupled.num_residuals = 4;
+  coupled.residuals = [](std::span<const double> v) {
+    return linalg::Vector{v[0] - 1.0, v[1] + 2.0, v[0] * v[1] - 3.0,
+                          std::sin(v[0])};
+  };
+  auto boxed = bowl({5.0});
+  boxed.lower = {0.0};
+  boxed.upper = {2.0};
+  const std::vector<double> ts{0.0, 0.5, 1.0, 1.5, 2.0};
+  Problem exponential;
+  exponential.num_params = 2;
+  exponential.num_residuals = ts.size();
+  exponential.residuals = [&ts](std::span<const double> v) {
+    linalg::Vector r(ts.size());
+    for (std::size_t i = 0; i < ts.size(); ++i)
+      r[i] = 2.0 * std::exp(-0.7 * ts[i]) - v[0] * std::exp(v[1] * ts[i]);
+    return r;
+  };
+
+  const struct {
+    const Problem* problem;
+    std::vector<double> start;
+  } cases[] = {{&rosenbrock, {-1.2, 1.0}},
+               {&coupled, {5.0, 5.0}},
+               {&boxed, {1.0}},
+               {&exponential, {1.0, 0.0}}};
+  for (const auto& c : cases) {
+    const auto res = minimize(*c.problem, c.start);
+    EXPECT_GE(res.iterations, 1u);
+    EXPECT_EQ(res.cost, c.problem->cost(res.params));
+  }
+  // A start outside the box: the cost is taken at the projected point.
+  auto projected = bowl({0.5});
+  projected.lower = {0.0};
+  projected.upper = {1.0};
+  LevMarOptions one_step;
+  one_step.max_iterations = 1;
+  const auto res = minimize(projected, std::vector<double>{42.0}, one_step);
+  EXPECT_EQ(res.cost, projected.cost(res.params));
+}
+
 TEST(Multistart, EscapesLocalMinimum) {
   // f(x) = (x^2 - 4)^2 has minima at +-2; from a box biased positive and
   // several starts we must find cost ~0.

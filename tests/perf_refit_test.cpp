@@ -106,6 +106,7 @@ TEST(PerfRefit, WarmRefitOnUnchangedDataReproducesFit) {
   const FitResult cold = fit_cost(gathered, spec);
   const FitResult warm = refit_cost(gathered, spec, cold);
   ASSERT_TRUE(warm.converged);
+  EXPECT_FALSE(warm.refit_fallback);
   // Same data, warm start at the optimum: the solution must not move.
   EXPECT_NEAR(warm.model.a, cold.model.a, 1e-6 * cold.model.a);
   EXPECT_NEAR(warm.model.d, cold.model.d, 1e-6 * std::max(1.0, cold.model.d));
