@@ -192,66 +192,100 @@ std::optional<SparseLU> SparseLU::factor(
     std::size_t n, const std::vector<std::vector<SparseEntry>>& cols,
     double threshold) {
   HSLB_EXPECTS(cols.size() == n);
+  std::vector<std::size_t> start(n + 1, 0);
+  std::vector<SparseEntry> entries;
+  for (std::size_t j = 0; j < n; ++j) {
+    entries.insert(entries.end(), cols[j].begin(), cols[j].end());
+    start[j + 1] = entries.size();
+  }
   SparseLU lu;
-  lu.n_ = n;
-  lu.pivot_row_.resize(n);
-  lu.pivot_col_.resize(n);
-  lu.pivot_.resize(n);
-  lu.lcol_.resize(n);
-  lu.urow_.resize(n);
-  lu.ucol_.resize(n);
-  if (n == 0) return lu;
+  if (!lu.refactor(n, start, entries, threshold)) return std::nullopt;
+  return lu;
+}
 
-  // Working copy of the active submatrix, column-wise. rowocc[r] lists the
-  // columns that may still hold an entry in row r (lazily cleaned: entries
-  // killed by cancellation are skipped at use time).
-  std::vector<std::vector<SparseEntry>> work(n);
-  std::vector<std::vector<std::size_t>> rowocc(n);
-  std::vector<std::size_t> rowcount(n, 0);
-  std::vector<bool> row_done(n, false), col_done(n, false);
+bool SparseLU::refactor(std::size_t n, std::span<const std::size_t> col_start,
+                        std::span<const SparseEntry> entries,
+                        double threshold) {
+  HSLB_EXPECTS(col_start.size() == n + 1);
+  HSLB_EXPECTS(col_start[n] <= entries.size());
+  // The elimination counts each (row, column) entry once: a repeated row
+  // index would double-count its row and leave a stale entry behind,
+  // silently corrupting the factors.
+  for (std::size_t j = 0; j < n; ++j) {
+    HSLB_EXPECTS(col_start[j] <= col_start[j + 1]);
+    for (std::size_t t = col_start[j]; t < col_start[j + 1]; ++t) {
+      HSLB_EXPECTS(entries[t].index < n);
+      HSLB_EXPECTS(t == col_start[j] ||
+                   entries[t].index > entries[t - 1].index);
+    }
+  }
+
+  Workspace& w = ws_;
+  Factors& f = w.staged;
+  f.n = n;
+  f.pivot_row.resize(n);
+  f.pivot_col.resize(n);
+  f.pivot.resize(n);
+  f.lstart.resize(n + 1);
+  f.urstart.resize(n + 1);
+  f.lent.clear();
+  f.urent.clear();
+
+  // Working copy of the active submatrix, column-wise. rowocc lists, per
+  // row, the columns that may still hold an entry in it (lazily cleaned:
+  // entries killed by cancellation are skipped at use time).
+  w.rowcount.assign(n, 0);
+  w.colcount.assign(n, 0);
   double scale = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
-    for (const auto& [r, v] : cols[j]) {
-      HSLB_EXPECTS(r < n);
-      if (v == 0.0) continue;
-      work[j].push_back({r, v});
-      rowocc[r].push_back(j);
-      ++rowcount[r];
-      scale = std::max(scale, std::fabs(v));
+    for (std::size_t t = col_start[j]; t < col_start[j + 1]; ++t) {
+      if (entries[t].value == 0.0) continue;
+      ++w.colcount[j];
+      ++w.rowcount[entries[t].index];
+      scale = std::max(scale, std::fabs(entries[t].value));
+    }
+  }
+  w.work.reset(n, [&](std::size_t j) { return w.colcount[j]; });
+  w.rowocc.reset(n, [&](std::size_t r) { return w.rowcount[r]; });
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t t = col_start[j]; t < col_start[j + 1]; ++t) {
+      if (entries[t].value == 0.0) continue;
+      w.work.push_back(j, entries[t]);
+      w.rowocc.push_back(entries[t].index, j);
     }
   }
   const double abs_tol = std::max(1e-12, 1e-11 * scale);
-
-  // Step index the U fill by destination column, so the column-wise view
-  // (needed for the zero-skipping backward solve) assembles as we pivot.
-  std::vector<std::vector<SparseEntry>> ucol_by_col(n);
-  std::vector<SparseEntry> mults;
-  Scatter scatter(n);
+  w.col_done.assign(n, 0);
+  w.scatter.clear();
+  w.scatter.resize(n);
 
   // Singleton columns pivot at zero Markowitz cost and produce no fill, so
   // they never need the full pivot scan. Simplex bases are dominated by
   // slack/selector singletons, and every elimination step can shrink more
   // columns to size one, so this stack handles almost every step; entries
   // are validated lazily at pop time (a column may have grown stale).
-  std::vector<std::size_t> singletons;
+  w.singletons.clear();
   for (std::size_t j = 0; j < n; ++j)
-    if (work[j].size() == 1) singletons.push_back(j);
+    if (w.work.size(j) == 1) w.singletons.push_back(j);
 
   for (std::size_t k = 0; k < n; ++k) {
+    f.lstart[k] = f.lent.size();
+    f.urstart[k] = f.urent.size();
     std::size_t best_r = 0, best_c = 0;
     double best_v = 0.0;
     bool found = false;
     // Fast path: any singleton column whose entry clears the absolute
     // floor is an optimal (cost-0, fill-free) Markowitz pivot.
-    while (!singletons.empty() && !found) {
-      const std::size_t j = singletons.back();
-      singletons.pop_back();
-      if (col_done[j] || work[j].size() != 1) continue;  // stale entry
-      if (std::fabs(work[j][0].value) < abs_tol) continue;  // leave to scan
+    while (!w.singletons.empty() && !found) {
+      const std::size_t j = w.singletons.back();
+      w.singletons.pop_back();
+      if (w.col_done[j] || w.work.size(j) != 1) continue;  // stale entry
+      const SparseEntry e = w.work.list(j)[0];
+      if (std::fabs(e.value) < abs_tol) continue;  // leave to scan
       found = true;
       best_c = j;
-      best_r = work[j][0].index;
-      best_v = work[j][0].value;
+      best_r = e.index;
+      best_v = e.value;
     }
     // General Markowitz search: minimize (rowcount-1)(colcount-1) over the
     // entries passing both the relative column threshold and the absolute
@@ -261,15 +295,15 @@ std::optional<SparseLU> SparseLU::factor(
     if (!found) {
       std::size_t best_cost = 0;
       for (std::size_t j = 0; j < n && (!found || best_cost > 0); ++j) {
-        if (col_done[j] || work[j].empty()) continue;
+        if (w.col_done[j] || w.work.size(j) == 0) continue;
+        const auto col = w.work.list(j);
         double colmax = 0.0;
-        for (const auto& e : work[j])
-          colmax = std::max(colmax, std::fabs(e.value));
+        for (const auto& e : col) colmax = std::max(colmax, std::fabs(e.value));
         const double accept = std::max(abs_tol, threshold * colmax);
-        const std::size_t ccost = work[j].size() - 1;
-        for (const auto& [r, v] : work[j]) {
+        const std::size_t ccost = col.size() - 1;
+        for (const auto& [r, v] : col) {
           if (std::fabs(v) < accept) continue;
-          const std::size_t cost = (rowcount[r] - 1) * ccost;
+          const std::size_t cost = (w.rowcount[r] - 1) * ccost;
           if (!found || cost < best_cost ||
               (cost == best_cost && std::fabs(v) > std::fabs(best_v))) {
             found = true;
@@ -282,50 +316,51 @@ std::optional<SparseLU> SparseLU::factor(
         }
       }
     }
-    if (!found) return std::nullopt;  // singular to working precision
+    if (!found) return false;  // singular to working precision
 
-    lu.pivot_row_[k] = best_r;
-    lu.pivot_col_[k] = best_c;
-    lu.pivot_[k] = best_v;
-    row_done[best_r] = true;
-    col_done[best_c] = true;
+    f.pivot_row[k] = best_r;
+    f.pivot_col[k] = best_c;
+    f.pivot[k] = best_v;
+    w.col_done[best_c] = 1;
 
     // Multipliers from the pivot column's remaining active entries.
-    mults.clear();
-    for (const auto& [r, v] : work[best_c]) {
+    w.mults.clear();
+    for (const auto& [r, v] : w.work.list(best_c)) {
       if (r == best_r) continue;
-      mults.push_back({r, v / best_v});
-      --rowcount[r];
+      w.mults.push_back({r, v / best_v});
+      --w.rowcount[r];
     }
-    lu.lcol_[k] = mults;
-    --rowcount[best_r];
-    work[best_c].clear();
+    f.lent.insert(f.lent.end(), w.mults.begin(), w.mults.end());
+    --w.rowcount[best_r];
+    w.work.clear(best_c);
 
-    if (mults.empty()) {
+    if (w.mults.empty()) {
       // Fill-free elimination: dropping the pivot row from a column is a
       // plain erase; no scatter pass and no occupancy updates needed.
-      for (const std::size_t j : rowocc[best_r]) {
-        if (col_done[j]) continue;
-        std::vector<SparseEntry>& wj = work[j];
+      for (const std::size_t j : w.rowocc.list(best_r)) {
+        if (w.col_done[j]) continue;
+        const auto wj = w.work.list(j);
         for (std::size_t t = 0; t < wj.size(); ++t) {
           if (wj[t].index != best_r) continue;
-          lu.urow_[k].push_back({j, wj[t].value});
-          ucol_by_col[j].push_back({k, wj[t].value});
-          wj.erase(wj.begin() + static_cast<std::ptrdiff_t>(t));
-          if (wj.size() == 1) singletons.push_back(j);
+          f.urent.push_back({j, wj[t].value});
+          w.work.erase(j, t);
+          if (w.work.size(j) == 1) w.singletons.push_back(j);
           break;
         }
       }
-      rowocc[best_r].clear();
+      w.rowocc.clear(best_r);
       continue;
     }
 
-    // Eliminate the pivot row from every column still holding it.
-    for (const std::size_t j : rowocc[best_r]) {
-      if (col_done[j]) continue;
+    // Eliminate the pivot row from every column still holding it. Fill
+    // appends to other rows' occupancy lists and may move them within the
+    // pool, so row best_r's list is re-read by index on every iteration.
+    for (std::size_t o = 0; o < w.rowocc.size(best_r); ++o) {
+      const std::size_t j = w.rowocc.list(best_r)[o];
+      if (w.col_done[j]) continue;
       double u = 0.0;
       bool present = false;
-      for (const auto& [r, v] : work[j]) {
+      for (const auto& [r, v] : w.work.list(j)) {
         if (r == best_r) {
           u = v;
           present = true;
@@ -333,211 +368,245 @@ std::optional<SparseLU> SparseLU::factor(
         }
       }
       if (!present) continue;  // stale occupancy entry (cancelled earlier)
-      lu.urow_[k].push_back({j, u});
-      ucol_by_col[j].push_back({k, u});
+      f.urent.push_back({j, u});
 
       // column j := column j - (u / pivot) * pivot column, active rows only.
       // Existing rows scatter first, so pattern positions >= old_count are
       // fill-in that needs occupancy/count bookkeeping.
-      scatter.clear();
-      for (const auto& [r, v] : work[j]) {
-        if (r != best_r) scatter.add(r, v);
+      w.scatter.clear();
+      for (const auto& [r, v] : w.work.list(j)) {
+        if (r != best_r) w.scatter.add(r, v);
       }
-      const std::size_t old_count = scatter.pattern().size();
-      for (const auto& [i, m] : mults) scatter.add(i, -m * u);
-      std::vector<SparseEntry>& out = work[j];
-      out.clear();
-      for (std::size_t t = 0; t < scatter.pattern().size(); ++t) {
-        const std::size_t r = scatter.pattern()[t];
-        const double v = scatter[r];
+      const std::size_t old_count = w.scatter.pattern().size();
+      for (const auto& [i, m] : w.mults) w.scatter.add(i, -m * u);
+      w.work.clear(j);
+      const auto pattern = w.scatter.pattern();
+      for (std::size_t t = 0; t < pattern.size(); ++t) {
+        const std::size_t r = pattern[t];
+        const double v = w.scatter[r];
         const bool is_fill = t >= old_count;
         if (v == 0.0) {
-          if (!is_fill) --rowcount[r];  // cancellation killed an entry
+          if (!is_fill) --w.rowcount[r];  // cancellation killed an entry
           continue;
         }
         if (is_fill) {
-          ++rowcount[r];
-          rowocc[r].push_back(j);
+          ++w.rowcount[r];
+          w.rowocc.push_back(r, j);
         }
-        out.push_back({r, v});
+        w.work.push_back(j, {r, v});
       }
-      if (out.size() == 1) singletons.push_back(j);
+      if (w.work.size(j) == 1) w.singletons.push_back(j);
     }
     // Row best_r is resolved; its occupancy list is dead weight now.
-    rowocc[best_r].clear();
+    w.rowocc.clear(best_r);
   }
+  f.lstart[n] = f.lent.size();
+  f.urstart[n] = f.urent.size();
 
-  for (std::size_t k = 0; k < n; ++k) lu.ucol_[k] = std::move(ucol_by_col[lu.pivot_col_[k]]);
-  lu.fill_ = n;
-  for (std::size_t k = 0; k < n; ++k) lu.fill_ += lu.lcol_[k].size() + lu.urow_[k].size();
-  return lu;
+  // The column-wise view of U (for the zero-skipping backward solve) is the
+  // transpose of its rows, indexed by the step that pivoted each column;
+  // walking the rows in step order keeps every column's entries ascending.
+  w.step_of_col.resize(n);
+  for (std::size_t k = 0; k < n; ++k) w.step_of_col[f.pivot_col[k]] = k;
+  f.ucstart.assign(n + 1, 0);
+  for (const SparseEntry& e : f.urent) ++f.ucstart[w.step_of_col[e.index] + 1];
+  for (std::size_t k = 0; k < n; ++k) f.ucstart[k + 1] += f.ucstart[k];
+  f.ucent.resize(f.urent.size());
+  w.cursor.assign(f.ucstart.begin(), f.ucstart.end() - 1);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (const auto& [j, u] : f.urow(k))
+      f.ucent[w.cursor[w.step_of_col[j]]++] = {k, u};
+  }
+  f.fill = n + f.lent.size() + f.urent.size();
+  std::swap(f_, f);
+  return true;
 }
 
-Vector SparseLU::solve(Vector b) const {
-  HSLB_EXPECTS(b.size() == n_);
+void SparseLU::solve(std::span<double> v) {
+  const Factors& f = f_;
+  HSLB_EXPECTS(v.size() == f.n);
+  double* const b = v.data();
   // Forward: apply L^{-1} (skip steps whose pivot-row value is exactly 0 —
   // the hypersparsity fast path for unit/cut right-hand sides).
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double t = b[pivot_row_[k]];
+  for (std::size_t k = 0; k < f.n; ++k) {
+    const double t = b[f.pivot_row[k]];
     if (t == 0.0) continue;
-    for (const auto& [i, m] : lcol_[k]) b[i] -= m * t;
+    for (const auto& [i, m] : f.lcol(k)) b[i] -= m * t;
   }
   // Backward: U x = y in scatter form, descending steps; x indexed by the
   // original column of each step.
-  Vector x(n_, 0.0);
-  for (std::size_t kk = n_; kk > 0; --kk) {
+  scratch_.resize(f.n);
+  double* const x = scratch_.data();
+  for (std::size_t kk = f.n; kk > 0; --kk) {
     const std::size_t k = kk - 1;
-    const double xv = b[pivot_row_[k]] / pivot_[k];
-    x[pivot_col_[k]] = xv;
+    const double xv = b[f.pivot_row[k]] / f.pivot[k];
+    x[f.pivot_col[k]] = xv;
     if (xv == 0.0) continue;
-    for (const auto& [l, u] : ucol_[k]) b[pivot_row_[l]] -= u * xv;
+    for (const auto& [l, u] : f.ucol(k)) b[f.pivot_row[l]] -= u * xv;
   }
-  return x;
+  std::copy(scratch_.begin(), scratch_.end(), v.begin());
 }
 
-Vector SparseLU::solve_transpose(Vector b) const {
-  HSLB_EXPECTS(b.size() == n_);
-  // U^T z = b in scatter form, ascending steps (z overwrites b at the
-  // step's pivot column slot).
-  Vector z(n_, 0.0);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double zk = b[pivot_col_[k]] / pivot_[k];
+void SparseLU::solve_transpose(std::span<double> v) {
+  const Factors& f = f_;
+  HSLB_EXPECTS(v.size() == f.n);
+  double* const b = v.data();
+  // U^T z = b in scatter form, ascending steps; z in step space.
+  scratch_.resize(f.n);
+  double* const z = scratch_.data();
+  for (std::size_t k = 0; k < f.n; ++k) {
+    const double zk = b[f.pivot_col[k]] / f.pivot[k];
     z[k] = zk;
     if (zk == 0.0) continue;
-    for (const auto& [j, u] : urow_[k]) b[j] -= u * zk;
+    for (const auto& [j, u] : f.urow(k)) b[j] -= u * zk;
   }
-  // L^T w = z, descending steps, gather form; w indexed by original rows.
-  Vector w(n_, 0.0);
-  for (std::size_t kk = n_; kk > 0; --kk) {
+  // L^T w = z, descending steps, gather form; w overwrites b by original
+  // row. Every row gathered from pivots later, so it is already written.
+  for (std::size_t kk = f.n; kk > 0; --kk) {
     const std::size_t k = kk - 1;
-    double v = z[k];
-    for (const auto& [i, m] : lcol_[k]) v -= m * w[i];
-    w[pivot_row_[k]] = v;
+    double val = z[k];
+    for (const auto& [i, m] : f.lcol(k)) val -= m * b[i];
+    b[f.pivot_row[k]] = val;
   }
-  return w;
 }
 
-UpdatableLU::UpdatableLU(const SparseLU& base)
-    : n_(base.n_),
-      base_fill_(base.fill_),
-      lrow_(base.pivot_row_),
-      lcol_(base.lcol_),
-      diag_(base.pivot_),
-      col_of_step_(base.pivot_col_) {
-  rowgen_.assign(n_, 0);
-  colgen_.assign(n_, 0);
-  urows_.resize(n_);
-  ucols_.resize(n_);
+UpdatableLU::UpdatableLU(SparseLU&& base) : base_(std::move(base)) { reset(); }
+
+bool UpdatableLU::refactor(std::size_t n,
+                           std::span<const std::size_t> col_start,
+                           std::span<const SparseEntry> entries,
+                           double threshold) {
+  if (!base_.refactor(n, col_start, entries, threshold)) return false;
+  reset();
+  return true;
+}
+
+void UpdatableLU::reset() {
+  const SparseLU::Factors& f = base_.f_;
+  n_ = f.n;
+  base_fill_ = f.fill;
+  update_fill_ = 0;
+  updates_ = 0;
+  diag_.assign(f.pivot.begin(), f.pivot.end());
   seq_.resize(n_);
   pos_.resize(n_);
   step_of_col_.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) {
     seq_[k] = k;
     pos_[k] = k;
-    step_of_col_[col_of_step_[k]] = k;
+    step_of_col_[f.pivot_col[k]] = k;
   }
+  rowgen_.assign(n_, 0);
+  colgen_.assign(n_, 0);
   // Base U entries arrive column-wise as (earlier step l, u_lk); mirror them
   // into the row-wise view so row-spike elimination can walk row contents.
+  ucols_.reset(n_, [&](std::size_t k) { return f.ucstart[k + 1] - f.ucstart[k]; });
+  urows_.reset(n_, [&](std::size_t l) { return f.urstart[l + 1] - f.urstart[l]; });
   for (std::size_t k = 0; k < n_; ++k) {
-    for (const auto& [l, u] : base.ucol_[k]) {
-      ucols_[k].push_back({l, u, 0});
-      urows_[l].push_back({k, u, 0});
+    for (const auto& [l, u] : f.ucol(k)) {
+      ucols_.push_back(k, {l, u, 0});
+      urows_.push_back(l, {k, u, 0});
     }
   }
+  eta_target_.clear();
+  eta_start_.assign(1, 0);
+  eta_terms_.clear();
   spike_.assign(n_, 0.0);
+  spike_valid_ = false;
   rowval_.assign(n_, 0.0);
   inrow_.assign(n_, 0);
+  heap_.clear();
 }
 
-Vector UpdatableLU::solve(Vector b) const {
-  HSLB_EXPECTS(b.size() == n_);
-  // y = R L^{-1} b, kept row-indexed (step s lives at b[lrow_[s]]); zero
-  // pivot-row values skip their L column — the hypersparsity fast path.
+void UpdatableLU::forward(std::span<double> v) const {
+  const std::vector<std::size_t>& lrow = base_.f_.pivot_row;
+  double* const b = v.data();
+  // Zero pivot-row values skip their L column — the hypersparsity fast path.
   for (std::size_t k = 0; k < n_; ++k) {
-    const double t = b[lrow_[k]];
+    const double t = b[lrow[k]];
     if (t == 0.0) continue;
-    for (const auto& [i, m] : lcol_[k]) b[i] -= m * t;
+    for (const auto& [i, m] : base_.f_.lcol(k)) b[i] -= m * t;
   }
-  for (const RowEta& e : retas_) {
+  for (std::size_t e = 0; e < eta_target_.size(); ++e) {
     double acc = 0.0;
-    for (const auto& [s, mult] : e.terms) acc += mult * b[lrow_[s]];
-    if (acc != 0.0) b[lrow_[e.target]] -= acc;
+    for (std::size_t i = eta_start_[e]; i < eta_start_[e + 1]; ++i)
+      acc += eta_terms_[i].value * b[lrow[eta_terms_[i].index]];
+    if (acc != 0.0) b[lrow[eta_target_[e]]] -= acc;
   }
-  // Backward: U x = y along the current elimination order, descending.
-  Vector x(n_, 0.0);
+}
+
+void UpdatableLU::backward(std::span<double> v) {
+  const std::vector<std::size_t>& lrow = base_.f_.pivot_row;
+  const std::vector<std::size_t>& col_of_step = base_.f_.pivot_col;
+  double* const b = v.data();
+  scratch_.resize(n_);
+  double* const x = scratch_.data();
   for (std::size_t kk = n_; kk > 0; --kk) {
     const std::size_t s = seq_[kk - 1];
-    const double xv = b[lrow_[s]] / diag_[s];
-    x[col_of_step_[s]] = xv;
+    const double xv = b[lrow[s]] / diag_[s];
+    x[col_of_step[s]] = xv;
     if (xv == 0.0) continue;
-    for (const UEntry& e : ucols_[s]) {
-      if (e.gen == rowgen_[e.other]) b[lrow_[e.other]] -= e.value * xv;
+    for (const UEntry& e : ucols_.list(s)) {
+      if (e.gen == rowgen_[e.other]) b[lrow[e.other]] -= e.value * xv;
     }
   }
-  return x;
+  std::copy(scratch_.begin(), scratch_.end(), v.begin());
 }
 
-Vector UpdatableLU::solve_entering(Vector b) {
-  HSLB_EXPECTS(b.size() == n_);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double t = b[lrow_[k]];
-    if (t == 0.0) continue;
-    for (const auto& [i, m] : lcol_[k]) b[i] -= m * t;
-  }
-  for (const RowEta& e : retas_) {
-    double acc = 0.0;
-    for (const auto& [s, mult] : e.terms) acc += mult * b[lrow_[s]];
-    if (acc != 0.0) b[lrow_[e.target]] -= acc;
-  }
-  spike_ = b;  // the post-L, post-R vector IS the Forrest-Tomlin spike
+void UpdatableLU::solve(std::span<double> v) {
+  HSLB_EXPECTS(v.size() == n_);
+  forward(v);
+  backward(v);
+}
+
+void UpdatableLU::solve_entering(std::span<double> v) {
+  HSLB_EXPECTS(v.size() == n_);
+  forward(v);
+  // The post-L, post-R vector IS the Forrest-Tomlin spike.
+  std::copy(v.begin(), v.end(), spike_.begin());
   spike_valid_ = true;
-  Vector x(n_, 0.0);
-  for (std::size_t kk = n_; kk > 0; --kk) {
-    const std::size_t s = seq_[kk - 1];
-    const double xv = b[lrow_[s]] / diag_[s];
-    x[col_of_step_[s]] = xv;
-    if (xv == 0.0) continue;
-    for (const UEntry& e : ucols_[s]) {
-      if (e.gen == rowgen_[e.other]) b[lrow_[e.other]] -= e.value * xv;
-    }
-  }
-  return x;
+  backward(v);
 }
 
-Vector UpdatableLU::solve_transpose(Vector b) const {
-  HSLB_EXPECTS(b.size() == n_);
+void UpdatableLU::solve_transpose(std::span<double> v) {
+  HSLB_EXPECTS(v.size() == n_);
+  const std::vector<std::size_t>& lrow = base_.f_.pivot_row;
+  const std::vector<std::size_t>& col_of_step = base_.f_.pivot_col;
+  double* const b = v.data();
   // U^T z = b along the elimination order, ascending; z in step space.
-  Vector z(n_, 0.0);
+  scratch_.resize(n_);
+  double* const z = scratch_.data();
   for (std::size_t kk = 0; kk < n_; ++kk) {
     const std::size_t s = seq_[kk];
-    const double zk = b[col_of_step_[s]] / diag_[s];
+    const double zk = b[col_of_step[s]] / diag_[s];
     z[s] = zk;
     if (zk == 0.0) continue;
-    for (const UEntry& e : urows_[s]) {
-      if (e.gen == colgen_[e.other]) b[col_of_step_[e.other]] -= e.value * zk;
+    for (const UEntry& e : urows_.list(s)) {
+      if (e.gen == colgen_[e.other]) b[col_of_step[e.other]] -= e.value * zk;
     }
   }
   // R^T: each eta (I - e_t m^T) transposes to z[s] -= m_s z[t], reverse order.
-  for (auto it = retas_.rbegin(); it != retas_.rend(); ++it) {
-    const double zt = z[it->target];
+  for (std::size_t e = eta_target_.size(); e > 0; --e) {
+    const double zt = z[eta_target_[e - 1]];
     if (zt == 0.0) continue;
-    for (const auto& [s, mult] : it->terms) z[s] -= mult * zt;
+    for (std::size_t i = eta_start_[e - 1]; i < eta_start_[e]; ++i)
+      z[eta_terms_[i].index] -= eta_terms_[i].value * zt;
   }
-  // L^T w = z, descending creation order, gather form.
-  Vector w(n_, 0.0);
+  // L^T w = z, descending creation order, gather form; w overwrites b by
+  // original row (every row gathered from is written earlier in the pass).
   for (std::size_t kk = n_; kk > 0; --kk) {
     const std::size_t k = kk - 1;
-    double v = z[k];
-    for (const auto& [i, m] : lcol_[k]) v -= m * w[i];
-    w[lrow_[k]] = v;
+    double val = z[k];
+    for (const auto& [i, m] : base_.f_.lcol(k)) val -= m * b[i];
+    b[lrow[k]] = val;
   }
-  return w;
 }
 
 UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
   HSLB_EXPECTS(spike_valid_);
   HSLB_EXPECTS(basis_pos < n_);
   spike_valid_ = false;
+  const std::vector<std::size_t>& lrow = base_.f_.pivot_row;
   // Steps keep their basis position for life, so the step to replace is a
   // direct inverse lookup.
   const std::size_t t = step_of_col_[basis_pos];
@@ -546,15 +615,15 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
   // current elimination order (a min-heap on pos_), which is exactly the
   // order triangularity demands — fill from eliminating against row c only
   // lands at positions beyond pos_[c].
+  const auto cmp = std::greater<std::pair<std::size_t, std::size_t>>{};
   heap_.clear();
-  for (const UEntry& e : urows_[t]) {
+  for (const UEntry& e : urows_.list(t)) {
     if (e.gen != colgen_[e.other]) continue;
     if (!inrow_[e.other]) {
       inrow_[e.other] = 1;
       rowval_[e.other] = e.value;
       heap_.emplace_back(pos_[e.other], e.other);
-      std::push_heap(heap_.begin(), heap_.end(),
-                     std::greater<std::pair<std::size_t, std::size_t>>{});
+      std::push_heap(heap_.begin(), heap_.end(), cmp);
     } else {
       rowval_[e.other] += e.value;
     }
@@ -564,11 +633,11 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
   ++rowgen_[t];
   ++colgen_[t];
 
-  double newdiag = spike_[lrow_[t]];
+  double newdiag = spike_[lrow[t]];
   double spike_max = 0.0;
-  RowEta eta;
-  eta.target = t;
-  const auto cmp = std::greater<std::pair<std::size_t, std::size_t>>{};
+  // The multipliers become the new row eta's terms, appended in place and
+  // dropped again if the update is rejected.
+  const std::size_t mark = eta_terms_.size();
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), cmp);
     const std::size_t c = heap_.back().second;
@@ -578,10 +647,10 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
     inrow_[c] = 0;
     if (val == 0.0) continue;
     const double mult = val / diag_[c];
-    eta.terms.push_back({c, mult});
+    eta_terms_.push_back({c, mult});
     // Row c's entry in the incoming spike column cancels into the diagonal.
-    newdiag -= mult * spike_[lrow_[c]];
-    for (const UEntry& e : urows_[c]) {
+    newdiag -= mult * spike_[lrow[c]];
+    for (const UEntry& e : urows_.list(c)) {
       if (e.gen != colgen_[e.other]) continue;
       if (!inrow_[e.other]) {
         inrow_[e.other] = 1;
@@ -595,9 +664,10 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
   }
 
   for (std::size_t s = 0; s < n_; ++s)
-    spike_max = std::max(spike_max, std::fabs(spike_[lrow_[s]]));
+    spike_max = std::max(spike_max, std::fabs(spike_[lrow[s]]));
   if (!std::isfinite(newdiag) ||
       std::fabs(newdiag) <= 1e-10 * std::max(1.0, spike_max)) {
+    eta_terms_.resize(mark);
     return UpdateResult::Unstable;  // factorization now invalid
   }
 
@@ -608,15 +678,15 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
   // itself carry stamps of the surviving partners and must go explicitly,
   // or a later re-update of this step would seed from ghost entries).
   diag_[t] = newdiag;
-  urows_[t].clear();
-  ucols_[t].clear();
+  urows_.clear(t);
+  ucols_.clear(t);
   std::size_t added = 0;
   for (std::size_t s = 0; s < n_; ++s) {
     if (s == t) continue;
-    const double v = spike_[lrow_[s]];
+    const double v = spike_[lrow[s]];
     if (v == 0.0) continue;
-    ucols_[t].push_back({s, v, rowgen_[s]});
-    urows_[s].push_back({t, v, colgen_[t]});
+    ucols_.push_back(t, {s, v, rowgen_[s]});
+    urows_.push_back(s, {t, v, colgen_[t]});
     ++added;
   }
   const std::size_t old_pos = pos_[t];
@@ -624,8 +694,12 @@ UpdatableLU::UpdateResult UpdatableLU::update(std::size_t basis_pos) {
   seq_.push_back(t);
   for (std::size_t i = old_pos; i < n_; ++i) pos_[seq_[i]] = i;
 
-  update_fill_ += added + eta.terms.size();
-  if (!eta.terms.empty()) retas_.push_back(std::move(eta));
+  const std::size_t terms = eta_terms_.size() - mark;
+  update_fill_ += added + terms;
+  if (terms > 0) {
+    eta_target_.push_back(t);
+    eta_start_.push_back(eta_terms_.size());
+  }
   ++updates_;
   return UpdateResult::Ok;
 }

@@ -83,6 +83,13 @@ class Scatter {
 
   std::size_t size() const { return value_.size(); }
 
+  /// Resizes to n indices, keeping storage; requires a cleared accumulator.
+  void resize(std::size_t n) {
+    HSLB_EXPECTS(pattern_.empty());
+    value_.resize(n, 0.0);
+    touched_.resize(n, 0);
+  }
+
   /// value[i] += v, recording i in the pattern on first touch.
   void add(std::size_t i, double v) {
     HSLB_EXPECTS(i < value_.size());

@@ -1,7 +1,6 @@
 #include "lp/model.hpp"
 
 #include <algorithm>
-#include <map>
 #include <span>
 
 #include "common/contracts.hpp"
@@ -25,21 +24,29 @@ std::size_t Model::add_constraint(std::vector<Coeff> coeffs, double lb,
   HSLB_EXPECTS(lb <= ub);
   // Merge duplicate columns, validate indices, drop exact-zero sums (an
   // explicit zero would otherwise sit in the sparsity pattern forever).
-  std::map<std::size_t, double> merged;
-  for (const auto& [col, v] : coeffs) {
-    HSLB_EXPECTS(col < num_cols());
-    merged[col] += v;
-  }
-  std::vector<Coeff> clean;
-  clean.reserve(merged.size());
+  // The sort is stable, so a column's duplicates sum in input order from
+  // 0.0, giving every merged coefficient the same bits as accumulating
+  // them one by one; rows that arrive in column order skip it.
+  for (const auto& [col, v] : coeffs) HSLB_EXPECTS(col < num_cols());
+  const auto by_col = [](const Coeff& a, const Coeff& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(coeffs.begin(), coeffs.end(), by_col))
+    std::stable_sort(coeffs.begin(), coeffs.end(), by_col);
   const std::size_t row_index = rows_.size();
-  for (const auto& [col, v] : merged) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < coeffs.size();) {
+    const std::size_t col = coeffs[i].first;
+    double v = 0.0;
+    for (; i < coeffs.size() && coeffs[i].first == col; ++i)
+      v += coeffs[i].second;
     if (v == 0.0) continue;
-    clean.push_back({col, v});
+    coeffs[kept++] = {col, v};
     cols_[col].push_back({row_index, v});  // rows append-only: stays ordered
     ++nnz_;
   }
-  rows_.push_back(std::move(clean));
+  coeffs.resize(kept);
+  rows_.push_back(std::move(coeffs));
   row_lb_.push_back(lb);
   row_ub_.push_back(ub);
   if (name.empty()) name = "r" + std::to_string(rows_.size() - 1);

@@ -351,7 +351,7 @@ class Tableau {
   /// True when the factorization carries any post-refactorization updates
   /// (eta or FT), i.e. solves are no longer against fresh factors.
   bool stale_factor() const {
-    return !etas_.empty() || (ft_factor_ && ft_factor_->updates() > 0);
+    return !etas_.empty() || (use_ft() && ft_factor_.updates() > 0);
   }
 
   /// Rebuilds the factorization of the current basis (Markowitz sparse LU,
@@ -373,43 +373,38 @@ class Tableau {
       auto factor = linalg::LU::factor(b);
       if (!factor) return false;
       dense_factor_ = std::move(factor);
-      sparse_factor_.reset();
-      ft_factor_.reset();
       stats_.lu_fill = m_ * m_;
     } else {
-      std::vector<std::vector<linalg::SparseEntry>> bcols(m_);
+      // Basis columns in CSC form; both sparse factors refactor in place.
+      bstart_.assign(1, 0);
+      bentries_.clear();
       for (std::size_t i = 0; i < m_; ++i) {
         for_col(basis_[i], [&](std::size_t r, double v) {
-          bcols[i].push_back({r, v});
+          bentries_.push_back({r, v});
         });
-        bnnz += bcols[i].size();
+        bstart_.push_back(bentries_.size());
       }
-      auto factor = linalg::SparseLU::factor(m_, bcols);
-      if (!factor) return false;
-      dense_factor_.reset();
-      stats_.lu_fill = factor->nnz();
+      bnnz = bentries_.size();
       if (use_ft()) {
-        // The updatable wrapper owns a copy of the factors; the plain
-        // SparseLU is not kept around.
-        ft_factor_.emplace(*factor);
-        sparse_factor_.reset();
+        if (!ft_factor_.refactor(m_, bstart_, bentries_)) return false;
+        stats_.lu_fill = ft_factor_.base_fill();
       } else {
-        sparse_factor_ = std::move(factor);
-        ft_factor_.reset();
+        if (!sparse_factor_.refactor(m_, bstart_, bentries_)) return false;
+        stats_.lu_fill = sparse_factor_.nnz();
       }
     }
     ++stats_.refactorizations;
     stats_.basis_nnz = bnnz;
     etas_.clear();
 
-    std::vector<double> rhs(m_, 0.0);
+    rhs_.assign(m_, 0.0);
     for (std::size_t j = 0; j < total_cols(); ++j) {
       if (status_[j] == BasisStatus::Basic || value_[j] == 0.0) continue;
       const double xj = value_[j];
-      for_col(j, [&](std::size_t r, double v) { rhs[r] -= v * xj; });
+      for_col(j, [&](std::size_t r, double v) { rhs_[r] -= v * xj; });
     }
-    const auto xb = base_solve(std::move(rhs));
-    for (std::size_t i = 0; i < m_; ++i) value_[basis_[i]] = xb[i];
+    base_solve(rhs_);
+    for (std::size_t i = 0; i < m_; ++i) value_[basis_[i]] = rhs_[i];
     return true;
   }
 
@@ -419,16 +414,26 @@ class Tableau {
     if (stale_factor() || m_ == 0) refactorize();
   }
 
-  std::vector<double> base_solve(std::vector<double> v) const {
-    if (ft_factor_) return ft_factor_->solve(std::move(v));
-    if (sparse_factor_) return sparse_factor_->solve(std::move(v));
-    return dense_factor_->solve(v);
+  /// v := B^{-1} v against the factors alone (no eta file), in place.
+  void base_solve(std::vector<double>& v) {
+    if (opt_.force_dense) {
+      v = dense_factor_->solve(v);
+    } else if (use_ft()) {
+      ft_factor_.solve(v);
+    } else {
+      sparse_factor_.solve(v);
+    }
   }
 
-  std::vector<double> base_solve_transpose(std::vector<double> v) const {
-    if (ft_factor_) return ft_factor_->solve_transpose(std::move(v));
-    if (sparse_factor_) return sparse_factor_->solve_transpose(std::move(v));
-    return dense_factor_->solve_transpose(v);
+  /// v := B^{-T} v against the factors alone (no eta file), in place.
+  void base_solve_transpose(std::vector<double>& v) {
+    if (opt_.force_dense) {
+      v = dense_factor_->solve_transpose(v);
+    } else if (use_ft()) {
+      ft_factor_.solve_transpose(v);
+    } else {
+      sparse_factor_.solve_transpose(v);
+    }
   }
 
   /// Work (factor entries touched, i.e. multiply-adds) of one triangular
@@ -438,26 +443,26 @@ class Tableau {
   /// clamped). A forced-dense run is billed the dense cost by definition —
   /// it models the dense baseline.
   std::size_t base_solve_work() const {
-    if (ft_factor_) return std::min(ft_factor_->nnz(), m_ * m_);
-    if (sparse_factor_ && !opt_.force_dense) return sparse_factor_->nnz();
-    return m_ * m_;
+    if (opt_.force_dense) return m_ * m_;
+    if (use_ft()) return std::min(ft_factor_.nnz(), m_ * m_);
+    return sparse_factor_.nnz();
   }
 
   /// Basis updates currently folded into the solves: FT column
   /// replacements, or the eta-file length. Sets the dense-kernel baseline
   /// (a dense code pays m per product-form update on every solve).
   std::size_t update_count() const {
-    return ft_factor_ ? ft_factor_->updates() : etas_.size();
+    return use_ft() ? ft_factor_.updates() : etas_.size();
   }
 
-  /// v := B^{-1} v via the factorization plus the eta file (in update
-  /// order; empty under FT updates, which live inside the factors). Etas
-  /// whose pivot component is exactly zero are skipped — the hypersparsity
-  /// fast path that makes unit-vector solves cheap.
-  std::vector<double> ftran(std::vector<double> v) const {
-    if (m_ == 0) return v;
+  /// v := B^{-1} v in place via the factorization plus the eta file (in
+  /// update order; empty under FT updates, which live inside the factors).
+  /// Etas whose pivot component is exactly zero are skipped — the
+  /// hypersparsity fast path that makes unit-vector solves cheap.
+  void ftran(std::vector<double>& v) {
+    if (m_ == 0) return;
     std::size_t work = base_solve_work();
-    v = base_solve(std::move(v));
+    base_solve(v);
     for (const Eta& e : etas_) {
       const double t = v[e.p] / e.wp;
       v[e.p] = t;
@@ -467,24 +472,26 @@ class Tableau {
       for (const auto& [i, w] : e.nz) v[i] -= w * t;
     }
     bill_kernel(work);
-    return v;
   }
 
   /// ftran for the entering column: identical solve, but under FT updates
   /// the factor also captures the partially transformed column (the spike)
   /// a following push_update(p, ...) will splice into U.
-  std::vector<double> ftran_entering(std::vector<double> v) {
-    if (m_ == 0) return v;
-    if (!ft_factor_) return ftran(std::move(v));
+  void ftran_entering(std::vector<double>& v) {
+    if (m_ == 0) return;
+    if (!use_ft()) {
+      ftran(v);
+      return;
+    }
     const std::size_t work = base_solve_work();
-    v = ft_factor_->solve_entering(std::move(v));
+    ft_factor_.solve_entering(v);
     bill_kernel(work);
-    return v;
   }
 
-  /// v := B^{-T} v (eta file in reverse order, then the factor transpose).
-  std::vector<double> btran(std::vector<double> v) const {
-    if (m_ == 0) return v;
+  /// v := B^{-T} v in place (eta file in reverse order, then the factor
+  /// transpose).
+  void btran(std::vector<double>& v) {
+    if (m_ == 0) return;
     std::size_t work = base_solve_work();
     for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
       const Eta& e = *it;
@@ -494,10 +501,10 @@ class Tableau {
       work += e.nz.size() + 1;
     }
     bill_kernel(work);
-    return base_solve_transpose(std::move(v));
+    base_solve_transpose(v);
   }
 
-  void bill_kernel(std::size_t work) const {
+  void bill_kernel(std::size_t work) {
     const std::size_t dense_work = m_ * m_ + update_count() * m_;
     stats_.kernel_flops +=
         opt_.force_dense ? dense_work : std::min(work, dense_work);
@@ -511,18 +518,18 @@ class Tableau {
   /// singular rebuild.
   bool push_update(std::size_t p, const std::vector<double>& w) {
     ++stats_.pivots;
-    if (ft_factor_) {
-      const std::size_t fill_before = ft_factor_->update_fill();
-      if (ft_factor_->update(p) == linalg::UpdatableLU::UpdateResult::Ok) {
+    if (use_ft()) {
+      const std::size_t fill_before = ft_factor_.update_fill();
+      if (ft_factor_.update(p) == linalg::UpdatableLU::UpdateResult::Ok) {
         ++stats_.ft_updates;
-        stats_.ft_fill_nnz += ft_factor_->update_fill() - fill_before;
-        if (ft_factor_->nnz() >
-            static_cast<double>(ft_factor_->base_fill()) *
+        stats_.ft_fill_nnz += ft_factor_.update_fill() - fill_before;
+        if (ft_factor_.nnz() >
+            static_cast<double>(ft_factor_.base_fill()) *
                 opt_.refactor_fill_ratio) {
           ++stats_.refactor_fill_hits;
           return refactorize();
         }
-        if (ft_factor_->updates() >= opt_.refactor_interval) {
+        if (ft_factor_.updates() >= opt_.refactor_interval) {
           ++stats_.refactor_interval_hits;
           return refactorize();
         }
@@ -552,9 +559,9 @@ class Tableau {
       duals_.clear();
       return;
     }
-    std::vector<double> cb(m_);
-    for (std::size_t i = 0; i < m_; ++i) cb[i] = cost_[basis_[i]];
-    duals_ = btran(std::move(cb));
+    duals_.resize(m_);
+    for (std::size_t i = 0; i < m_; ++i) duals_[i] = cost_[basis_[i]];
+    btran(duals_);
   }
 
   double reduced_cost(std::size_t j) const {
@@ -635,12 +642,11 @@ class Tableau {
     }
 
     // Re-price the surviving candidates.
-    std::vector<std::size_t> alive;
-    alive.reserve(cand_.size());
+    alive_.clear();
     for (const std::size_t j : cand_) {
-      if (consider(j) > 0.0) alive.push_back(j);
+      if (consider(j) > 0.0) alive_.push_back(j);
     }
-    cand_.swap(alive);
+    cand_.swap(alive_);
 
     if (cand_.empty()) {
       // Restart the reference framework: weights updated while a column sat
@@ -652,22 +658,22 @@ class Tableau {
       best = std::nullopt;
       best_dir = 0;
       best_score = 0.0;
-      std::vector<std::pair<double, std::size_t>> scored;
+      scored_.clear();
       for (std::size_t j = 0; j < total; ++j) {
         const double score = consider(j);
-        if (score > 0.0) scored.emplace_back(score, j);
+        if (score > 0.0) scored_.emplace_back(score, j);
       }
       const std::size_t keep =
-          std::min(scored.size(), std::max<std::size_t>(64, total / 16));
+          std::min(scored_.size(), std::max<std::size_t>(64, total / 16));
       // Deterministic strongest-first order: score descending, index
       // ascending among exact ties.
-      std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+      std::partial_sort(scored_.begin(), scored_.begin() + keep, scored_.end(),
                         [](const auto& a, const auto& b) {
                           return a.first != b.first ? a.first > b.first
                                                     : a.second < b.second;
                         });
       cand_.reserve(keep);
-      for (std::size_t t = 0; t < keep; ++t) cand_.push_back(scored[t].second);
+      for (std::size_t t = 0; t < keep; ++t) cand_.push_back(scored_[t].second);
     }
     return {best, best_dir};
   }
@@ -682,9 +688,10 @@ class Tableau {
     const double apq = w[p];
     const double wq = devex_w_[q];
     if (!cand_.empty()) {
-      std::vector<double> e(m_, 0.0);
-      e[p] = 1.0;
-      const std::vector<double> rho = btran(std::move(e));
+      rho_.assign(m_, 0.0);
+      rho_[p] = 1.0;
+      btran(rho_);
+      const std::vector<double>& rho = rho_;
       for (const std::size_t j : cand_) {
         if (j == q) continue;
         double apj = 0.0;
@@ -734,12 +741,10 @@ class Tableau {
       const std::size_t q = *entering;
 
       // Direction of basic variables: delta x_B = -dir * B^{-1} A_q.
-      std::vector<double> w;
-      if (m_ > 0) {
-        std::vector<double> aq(m_, 0.0);
-        for_col(q, [&](std::size_t r, double v) { aq[r] = v; });
-        w = ftran_entering(std::move(aq));
-      }
+      aq_.assign(m_, 0.0);
+      for_col(q, [&](std::size_t r, double v) { aq_[r] = v; });
+      ftran_entering(aq_);
+      const std::vector<double>& w = aq_;
 
       // Ratio test. The pivot tolerance is relative to the direction's
       // scale: accepting a pivot many orders below ||w|| makes the next
@@ -879,9 +884,10 @@ class Tableau {
       // walking only the CSR rows where rho is nonzero (plus the implicit
       // slack/artificial singletons of those rows) instead of pricing every
       // column of the tableau.
-      std::vector<double> e(m_, 0.0);
-      e[p] = 1.0;
-      const std::vector<double> rho = btran(std::move(e));
+      rho_.assign(m_, 0.0);
+      rho_[p] = 1.0;
+      btran(rho_);
+      const std::vector<double>& rho = rho_;
       compute_duals();
 
       alpha_scatter_.clear();
@@ -941,12 +947,10 @@ class Tableau {
       }
 
       const std::size_t q = *entering;
-      std::vector<double> w;
-      {
-        std::vector<double> aq(m_, 0.0);
-        for_col(q, [&](std::size_t r, double v) { aq[r] = v; });
-        w = ftran_entering(std::move(aq));
-      }
+      aq_.assign(m_, 0.0);
+      for_col(q, [&](std::size_t r, double v) { aq_[r] = v; });
+      ftran_entering(aq_);
+      const std::vector<double>& w = aq_;
       double wmax = 0.0;
       for (double wi : w) wmax = std::max(wmax, std::fabs(wi));
       if (std::fabs(w[p]) < 1e-7 * std::max(1.0, wmax)) {
@@ -1048,17 +1052,26 @@ class Tableau {
   std::vector<BasisStatus> status_;
   std::vector<std::size_t> basis_;
   std::vector<double> row_scale_;
+  // Basis factors: exactly one kernel is live for the tableau's lifetime
+  // (force_dense, then basis_update, decide which). The sparse ones
+  // refactor in place, reusing their storage.
   std::optional<linalg::LU> dense_factor_;
-  std::optional<linalg::SparseLU> sparse_factor_;
-  std::optional<linalg::UpdatableLU> ft_factor_;
+  linalg::SparseLU sparse_factor_;  // product-form eta path
+  linalg::UpdatableLU ft_factor_;   // Forrest-Tomlin path
   std::vector<Eta> etas_;
   std::vector<double> duals_;
+  // Kernel buffers reused by every pivot: the basis columns (CSC) handed to
+  // refactorization and its right-hand side, the entering column / simplex
+  // direction, and rho = B^{-T} e_p.
+  std::vector<std::size_t> bstart_;
+  std::vector<linalg::SparseEntry> bentries_;
+  std::vector<double> rhs_, aq_, rho_;
   // Pricing state.
   std::vector<double> devex_w_;
-  std::vector<std::size_t> cand_;
+  std::vector<std::size_t> cand_, alive_;
+  std::vector<std::pair<double, std::size_t>> scored_;
   linalg::Scatter alpha_scatter_;
-  // Mutable: ftran/btran are const solves but account their kernel work.
-  mutable SolveStats stats_;
+  SolveStats stats_;
   bool singular_failure_ = false;
   bool warm_trouble_ = false;
 };

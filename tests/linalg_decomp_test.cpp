@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
+
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 
@@ -137,6 +142,18 @@ std::vector<std::vector<SparseEntry>> to_columns(const Matrix& a) {
   return cols;
 }
 
+/// The in-place solves, applied to a copy of b.
+template <typename Factor>
+Vector solve(Factor& f, Vector b) {
+  f.solve(b);
+  return b;
+}
+template <typename Factor>
+Vector solve_transpose(Factor& f, Vector b) {
+  f.solve_transpose(b);
+  return b;
+}
+
 /// Random sparse square matrix with a boosted diagonal so every draw is
 /// comfortably nonsingular (the FT tests replace columns repeatedly; we
 /// want instability to be the exception we trigger deliberately).
@@ -155,17 +172,17 @@ TEST(UpdatableLU, MatchesBaseFactorBeforeUpdates) {
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 12));
     const auto a = random_sparse_square(rng, n);
-    const auto base = SparseLU::factor(n, to_columns(a));
+    auto base = SparseLU::factor(n, to_columns(a));
     ASSERT_TRUE(base.has_value());
-    const UpdatableLU lu(*base);
+    UpdatableLU lu{SparseLU(*base)};
     EXPECT_EQ(lu.nnz(), base->nnz());
     EXPECT_EQ(lu.updates(), 0u);
     Vector b(n);
     for (auto& v : b) v = rng.uniform(-5.0, 5.0);
-    const auto x = lu.solve(b);
-    const auto xb = base->solve(b);
-    const auto xt = lu.solve_transpose(b);
-    const auto xtb = base->solve_transpose(b);
+    const auto x = solve(lu, b);
+    const auto xb = solve(*base, b);
+    const auto xt = solve_transpose(lu, b);
+    const auto xtb = solve_transpose(*base, b);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(x[i], xb[i], 1e-12);
       EXPECT_NEAR(xt[i], xtb[i], 1e-12);
@@ -180,9 +197,9 @@ TEST(UpdatableLU, PropertyColumnReplacementTracksRefactoredMatrix) {
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 12));
     auto a = random_sparse_square(rng, n);
-    const auto base = SparseLU::factor(n, to_columns(a));
+    auto base = SparseLU::factor(n, to_columns(a));
     ASSERT_TRUE(base.has_value());
-    UpdatableLU lu(*base);
+    UpdatableLU lu(std::move(*base));
 
     const int rounds = static_cast<int>(rng.uniform_int(1, 6));
     for (int round = 0; round < rounds; ++round) {
@@ -193,7 +210,8 @@ TEST(UpdatableLU, PropertyColumnReplacementTracksRefactoredMatrix) {
       for (std::size_t i = 0; i < n; ++i)
         if (i != p && rng.uniform(0.0, 1.0) < 0.4) aq[i] = rng.uniform(-1, 1);
 
-      const auto dir = lu.solve_entering(aq);
+      Vector dir = aq;
+      lu.solve_entering(dir);
       ASSERT_GT(std::abs(dir[p]), 1e-8);  // replacement keeps B nonsingular
       ASSERT_EQ(lu.update(p), UpdatableLU::UpdateResult::Ok);
       for (std::size_t i = 0; i < n; ++i) a(i, p) = aq[i];
@@ -202,9 +220,9 @@ TEST(UpdatableLU, PropertyColumnReplacementTracksRefactoredMatrix) {
       ASSERT_TRUE(dense.has_value());
       Vector b(n);
       for (auto& v : b) v = rng.uniform(-5.0, 5.0);
-      const auto x = lu.solve(b);
+      const auto x = solve(lu, b);
       const auto xd = dense->solve(b);
-      const auto xt = lu.solve_transpose(b);
+      const auto xt = solve_transpose(lu, b);
       const auto xtd = dense->solve_transpose(b);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(x[i], xd[i], 1e-7);
@@ -216,24 +234,126 @@ TEST(UpdatableLU, PropertyColumnReplacementTracksRefactoredMatrix) {
   }
 }
 
+std::vector<std::uint64_t> bits(const Vector& v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+/// A simplex-basis-shaped square matrix in CSC form: slack singletons mixed
+/// with sparse structural columns. Every fifth draw repeats a column, so
+/// the sequence includes singular bases.
+struct CscBasis {
+  std::size_t n = 0;
+  std::vector<std::size_t> start{0};
+  std::vector<SparseEntry> entries;
+  Matrix dense;
+};
+
+CscBasis random_basis(Rng& rng, std::size_t n, bool singular) {
+  CscBasis b;
+  b.n = n;
+  b.dense = Matrix(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (rng.uniform(0.0, 1.0) < 0.5) {
+      b.dense(j, j) = rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+    } else {
+      b.dense(j, j) = rng.uniform(1.0, 3.0);
+      for (std::size_t i = 0; i < n; ++i)
+        if (i != j && rng.uniform(0.0, 1.0) < 0.2)
+          b.dense(i, j) = rng.uniform(-2.0, 2.0);
+    }
+  }
+  if (singular && n >= 2)
+    for (std::size_t i = 0; i < n; ++i) b.dense(i, n - 1) = b.dense(i, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i)
+      if (b.dense(i, j) != 0.0) b.entries.push_back({i, b.dense(i, j)});
+    b.start.push_back(b.entries.size());
+  }
+  return b;
+}
+
+TEST(UpdatableLU, PropertyReusedFactorsMatchFreshOnesBitwise) {
+  // One SparseLU and one UpdatableLU are refactored through a seeded run of
+  // bases whose order grows and shrinks; each solve must be bitwise equal
+  // to that of an object factored fresh from the same matrix, so state left
+  // over from an earlier, larger or updated factorization cannot leak in.
+  // A singular basis must leave the reused objects' previous factors (and
+  // updates) untouched.
+  Rng rng(404);
+  SparseLU reused_lu;
+  UpdatableLU reused_ft;
+  std::optional<SparseLU> last_lu;   // fresh twin of the live factors
+  std::optional<UpdatableLU> last_ft;
+  std::size_t m = 0;                 // their order
+  std::size_t n = 8;
+  for (int round = 0; round < 60; ++round) {
+    n = static_cast<std::size_t>(std::clamp<std::int64_t>(
+        static_cast<std::int64_t>(n) + rng.uniform_int(-6, 6), 1, 40));
+    const bool singular = round % 5 == 4;
+    const CscBasis b = random_basis(rng, n, singular);
+    const bool ok_lu = reused_lu.refactor(n, b.start, b.entries);
+    const bool ok_ft = reused_ft.refactor(n, b.start, b.entries);
+    ASSERT_EQ(ok_lu, ok_ft);
+    ASSERT_EQ(ok_lu, !singular || n < 2) << "round " << round;
+    if (ok_lu) {
+      last_lu.emplace();
+      ASSERT_TRUE(last_lu->refactor(n, b.start, b.entries));
+      last_ft.emplace();
+      ASSERT_TRUE(last_ft->refactor(n, b.start, b.entries));
+      m = n;
+    }
+    ASSERT_TRUE(last_lu.has_value());
+    EXPECT_EQ(reused_lu.nnz(), last_lu->nnz());
+    EXPECT_EQ(reused_ft.nnz(), last_ft->nnz());
+
+    // A few column replacements on the FT pair, identical on both sides.
+    const int pivots = static_cast<int>(rng.uniform_int(0, 3));
+    for (int k = 0; k < pivots; ++k) {
+      const auto p = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(m) - 1));
+      Vector aq(m, 0.0);
+      aq[p] = rng.uniform(2.0, 4.0);
+      for (std::size_t i = 0; i < m; ++i)
+        if (i != p && rng.uniform(0.0, 1.0) < 0.3) aq[i] = rng.uniform(-1, 1);
+      Vector d1 = aq, d2 = aq;
+      reused_ft.solve_entering(d1);
+      last_ft->solve_entering(d2);
+      ASSERT_EQ(bits(d1), bits(d2));
+      ASSERT_EQ(reused_ft.update(p), last_ft->update(p));
+    }
+    EXPECT_EQ(reused_ft.nnz(), last_ft->nnz());
+
+    Vector rhs(m);
+    for (auto& v : rhs) v = rng.uniform(-5.0, 5.0);
+    EXPECT_EQ(bits(solve(reused_lu, rhs)), bits(solve(*last_lu, rhs)));
+    EXPECT_EQ(bits(solve_transpose(reused_lu, rhs)),
+              bits(solve_transpose(*last_lu, rhs)));
+    EXPECT_EQ(bits(solve(reused_ft, rhs)), bits(solve(*last_ft, rhs)));
+    EXPECT_EQ(bits(solve_transpose(reused_ft, rhs)),
+              bits(solve_transpose(*last_ft, rhs)));
+  }
+}
+
 TEST(UpdatableLU, RejectsSingularReplacement) {
   // Replacing column 1 with a copy of column 0 makes the basis singular;
   // the update must report Unstable instead of committing garbage.
   const auto a = Matrix::from_rows(
       {{3.0, 1.0, 0.0}, {1.0, 4.0, 1.0}, {0.0, 1.0, 3.0}});
-  const auto base = SparseLU::factor(3, to_columns(a));
+  auto base = SparseLU::factor(3, to_columns(a));
   ASSERT_TRUE(base.has_value());
-  UpdatableLU lu(*base);
-  const Vector col0{3.0, 1.0, 0.0};
+  UpdatableLU lu(std::move(*base));
+  Vector col0{3.0, 1.0, 0.0};
   lu.solve_entering(col0);
   EXPECT_EQ(lu.update(1), UpdatableLU::UpdateResult::Unstable);
 }
 
 TEST(UpdatableLU, UpdateWithoutEnteringSolveThrows) {
   const auto a = Matrix::from_rows({{2.0, 0.0}, {0.0, 2.0}});
-  const auto base = SparseLU::factor(2, to_columns(a));
+  auto base = SparseLU::factor(2, to_columns(a));
   ASSERT_TRUE(base.has_value());
-  UpdatableLU lu(*base);
+  UpdatableLU lu(std::move(*base));
   EXPECT_THROW(lu.update(0), ContractViolation);
 }
 

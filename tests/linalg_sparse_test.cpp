@@ -120,6 +120,16 @@ TEST(Scatter, PatternTracksTouchedAndClearIsSparse) {
   EXPECT_DOUBLE_EQ(s[6], 0.0);
 }
 
+/// The in-place solves, applied to a copy of b.
+Vector solve(SparseLU& lu, Vector b) {
+  lu.solve(b);
+  return b;
+}
+Vector solve_transpose(SparseLU& lu, Vector b) {
+  lu.solve_transpose(b);
+  return b;
+}
+
 std::vector<std::vector<SparseEntry>> to_columns(const Matrix& a) {
   std::vector<std::vector<SparseEntry>> cols(a.cols());
   for (std::size_t j = 0; j < a.cols(); ++j) {
@@ -132,12 +142,12 @@ std::vector<std::vector<SparseEntry>> to_columns(const Matrix& a) {
 
 TEST(SparseLU, SolvesKnownSystemNeedingPivoting) {
   const auto a = Matrix::from_rows({{0.0, 2.0}, {1.0, 1.0}});
-  const auto lu = SparseLU::factor(2, to_columns(a));
+  auto lu = SparseLU::factor(2, to_columns(a));
   ASSERT_TRUE(lu.has_value());
-  const auto x = lu->solve({4.0, 3.0});
+  const auto x = solve(*lu, Vector{4.0, 3.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
-  const auto xt = lu->solve_transpose({4.0, 3.0});
+  const auto xt = solve_transpose(*lu, Vector{4.0, 3.0});
   // A^T x = b: x = (3, 1/2): row checks 0*3+1*0.5... solve numerically below.
   const auto atx = a.mul_transpose(xt);
   EXPECT_NEAR(atx[0], 4.0, 1e-12);
@@ -151,6 +161,24 @@ TEST(SparseLU, DetectsSingular) {
   EXPECT_FALSE(SparseLU::factor(2, {{{0, 1.0}, {1, 1.0}}, {}}).has_value());
 }
 
+TEST(SparseLU, RejectsRepeatedOrUnorderedRowIndices) {
+  // A repeated row index would be counted twice by the elimination and leave
+  // a stale entry behind, silently corrupting the factors; the precondition
+  // is enforced instead, for the list and the CSC entry points alike.
+  EXPECT_THROW(SparseLU::factor(2, {{{0, 1.0}, {0, 2.0}}, {{1, 1.0}}}),
+               ContractViolation);
+  EXPECT_THROW(SparseLU::factor(2, {{{1, 1.0}, {0, 2.0}}, {{1, 1.0}}}),
+               ContractViolation);
+  EXPECT_THROW(SparseLU::factor(2, {{{0, 1.0}, {2, 2.0}}, {{1, 1.0}}}),
+               ContractViolation);
+  SparseLU lu;
+  const std::vector<std::size_t> start{0, 2, 3};
+  const std::vector<SparseEntry> dup{{1, 1.0}, {1, 2.0}, {0, 1.0}};
+  EXPECT_THROW(lu.refactor(2, start, dup), ContractViolation);
+  const std::vector<SparseEntry> ok{{0, 1.0}, {1, 2.0}, {0, 1.0}};
+  EXPECT_TRUE(lu.refactor(2, start, ok));
+}
+
 TEST(SparseLU, PropertyRandomSparseSolveMatchesDenseLU) {
   Rng rng(55);
   for (int trial = 0; trial < 40; ++trial) {
@@ -162,16 +190,16 @@ TEST(SparseLU, PropertyRandomSparseSolveMatchesDenseLU) {
       }
       a(i, i) += 3.0;  // keep it nonsingular and well-conditioned
     }
-    const auto slu = SparseLU::factor(n, to_columns(a));
+    auto slu = SparseLU::factor(n, to_columns(a));
     ASSERT_TRUE(slu.has_value());
     Vector b(n);
     for (auto& v : b) v = rng.uniform(-5.0, 5.0);
 
-    const auto x = slu->solve(b);
+    const auto x = solve(*slu, b);
     const auto ax = a.mul(x);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
 
-    const auto xt = slu->solve_transpose(b);
+    const auto xt = solve_transpose(*slu, b);
     const auto atxt = a.mul_transpose(xt);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(atxt[i], b[i], 1e-8);
   }
@@ -189,17 +217,17 @@ TEST(SparseLU, HypersparseUnitRhsSolves) {
     const auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
     if (i != j) a(i, j) = rng.uniform(-0.5, 0.5);
   }
-  const auto slu = SparseLU::factor(n, to_columns(a));
+  auto slu = SparseLU::factor(n, to_columns(a));
   ASSERT_TRUE(slu.has_value());
   for (std::size_t k = 0; k < n; ++k) {
     Vector e(n, 0.0);
     e[k] = 1.0;
-    const auto x = slu->solve(e);
+    const auto x = solve(*slu, e);
     const auto ax = a.mul(x);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(ax[i], i == k ? 1.0 : 0.0, 1e-9);
     }
-    const auto xt = slu->solve_transpose(e);
+    const auto xt = solve_transpose(*slu, e);
     const auto atxt = a.mul_transpose(xt);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(atxt[i], i == k ? 1.0 : 0.0, 1e-9);
@@ -241,7 +269,7 @@ TEST(SparseLU, FillStaysNearBasisNnzOnSingletonHeavyBasis) {
   }
   input_nnz = 0;
   for (const auto& c : cols) input_nnz += c.size();
-  const auto slu = SparseLU::factor(n, cols);
+  auto slu = SparseLU::factor(n, cols);
   ASSERT_TRUE(slu.has_value());
   EXPECT_LE(slu->nnz(), 2 * input_nnz + n);
 }

@@ -25,6 +25,22 @@ TEST(LpModel, ConstraintMergesDuplicates) {
   const auto r = m.add_constraint({{x, 1.0}, {x, 2.0}}, 0.0, 5.0);
   ASSERT_EQ(m.row(r).size(), 1u);
   EXPECT_DOUBLE_EQ(m.row(r)[0].second, 3.0);
+
+  // Duplicates sum in input order from 0.0: (1e16 + 1) rounds back to 1e16,
+  // so 1e16, 1, -1e16 merge to exactly 0 and drop out, while the order
+  // 1e16, -1e16, 1 keeps the 1. Interleaved columns keep that order too.
+  const auto y = m.add_variable(0.0, 10.0, 1.0);
+  const auto cancelled = m.add_constraint(
+      {{x, 1e16}, {y, 4.0}, {x, 1.0}, {x, -1e16}}, 0.0, 5.0);
+  ASSERT_EQ(m.row(cancelled).size(), 1u);
+  EXPECT_EQ(m.row(cancelled)[0].first, y);
+  const auto kept = m.add_constraint(
+      {{y, 4.0}, {x, 1e16}, {x, -1e16}, {x, 1.0}}, 0.0, 5.0);
+  ASSERT_EQ(m.row(kept).size(), 2u);
+  EXPECT_EQ(m.row(kept)[0].first, x);
+  EXPECT_EQ(m.row(kept)[0].second, 1.0);
+  EXPECT_EQ(m.row(kept)[1].first, y);
+  EXPECT_EQ(m.nnz(), 1u + 1u + 2u);
 }
 
 TEST(LpModel, ConstraintDropsExplicitAndCancelledZeros) {
