@@ -224,11 +224,13 @@ int usage(int code) {
 int cmd_fit(const Args& args) {
   const auto bench_path = args.value("bench");
   HSLB_EXPECTS(bench_path.has_value());
+  perf::FitOptions opt;
+  // The exponent window is [min-c, max_c]; reject an inverted one before
+  // reading any data.
+  opt.min_c = args.get_double("min-c", 1.0, 0.0, opt.max_c);
+  opt.num_starts = static_cast<std::size_t>(args.get_int("starts", 24LL, 1));
   const auto table = perf::BenchTable::load(*bench_path);
 
-  perf::FitOptions opt;
-  opt.min_c = args.get_double("min-c", 1.0, 0.0);
-  opt.num_starts = static_cast<std::size_t>(args.get_int("starts", 24LL, 1));
   const auto fits = perf::fit_all(table, opt);
 
   Table out({"task", "a", "b", "c", "d", "R^2", "RMSE"});

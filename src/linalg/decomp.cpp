@@ -7,14 +7,15 @@
 
 namespace hslb::linalg {
 
-std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
+bool Cholesky::refactor(const Matrix& a) {
   HSLB_EXPECTS(a.rows() == a.cols());
   const std::size_t n = a.rows();
-  Matrix l(n, n);
+  Matrix& l = l_;
+  l.assign(n, n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     double diag = a(j, j);
     for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) return std::nullopt;
+    if (diag <= 0.0 || !std::isfinite(diag)) return false;
     l(j, j) = std::sqrt(diag);
     for (std::size_t i = j + 1; i < n; ++i) {
       double v = a(i, j);
@@ -22,28 +23,25 @@ std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
       l(i, j) = v / l(j, j);
     }
   }
-  return Cholesky(std::move(l));
+  return true;
 }
 
-Vector Cholesky::solve(std::span<const double> b) const {
+void Cholesky::solve_in_place(std::span<double> bx) const {
   const std::size_t n = l_.rows();
-  HSLB_EXPECTS(b.size() == n);
-  // Forward: L y = b
-  Vector y(n);
+  HSLB_EXPECTS(bx.size() == n);
+  // Forward: L y = b, y overwriting b.
   for (std::size_t i = 0; i < n; ++i) {
-    double v = b[i];
-    for (std::size_t k = 0; k < i; ++k) v -= l_(i, k) * y[k];
-    y[i] = v / l_(i, i);
+    double v = bx[i];
+    for (std::size_t k = 0; k < i; ++k) v -= l_(i, k) * bx[k];
+    bx[i] = v / l_(i, i);
   }
-  // Backward: L^T x = y
-  Vector x(n);
+  // Backward: L^T x = y, x overwriting y.
   for (std::size_t ii = n; ii > 0; --ii) {
     const std::size_t i = ii - 1;
-    double v = y[i];
-    for (std::size_t k = i + 1; k < n; ++k) v -= l_(k, i) * x[k];
-    x[i] = v / l_(i, i);
+    double v = bx[i];
+    for (std::size_t k = i + 1; k < n; ++k) v -= l_(k, i) * bx[k];
+    bx[i] = v / l_(i, i);
   }
-  return x;
 }
 
 QR::QR(const Matrix& a) : qr_(a), rows_(a.rows()), cols_(a.cols()) {

@@ -22,19 +22,22 @@
 
 namespace hslb::linalg {
 
-/// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
-/// Returns std::nullopt if A is not (numerically) positive definite.
+/// Cholesky factorization A = L L^T of a symmetric positive-definite
+/// matrix, refactored in place so repeated factorizations of one size (the
+/// Levenberg-Marquardt inner loop) reuse its storage.
 class Cholesky {
  public:
-  static std::optional<Cholesky> factor(const Matrix& a);
+  /// Factors `a` into this object. Returns false when A is not
+  /// (numerically) positive definite; the factor is then unusable until
+  /// the next successful refactor.
+  bool refactor(const Matrix& a);
 
-  /// Solves A x = b.
-  Vector solve(std::span<const double> b) const;
+  /// Solves A x = b in place: `bx` holds b on entry and x on return.
+  void solve_in_place(std::span<double> bx) const;
 
   const Matrix& lower() const { return l_; }
 
  private:
-  explicit Cholesky(Matrix l) : l_(std::move(l)) {}
   Matrix l_;
 };
 

@@ -1,5 +1,6 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -36,13 +37,20 @@ Vector Matrix::mul(std::span<const double> x) const {
 }
 
 Vector Matrix::mul_transpose(std::span<const double> y) const {
+  Vector x(cols_);
+  mul_transpose_into(y, x);
+  return x;
+}
+
+void Matrix::mul_transpose_into(std::span<const double> y,
+                                std::span<double> x) const {
   HSLB_EXPECTS(y.size() == rows_);
-  Vector x(cols_, 0.0);
+  HSLB_EXPECTS(x.size() == cols_);
+  std::fill(x.begin(), x.end(), 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     const auto rr = row(r);
     for (std::size_t c = 0; c < cols_; ++c) x[c] += rr[c] * y[r];
   }
-  return x;
 }
 
 Matrix Matrix::mul(const Matrix& other) const {
@@ -59,18 +67,25 @@ Matrix Matrix::mul(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::gram() const {
-  Matrix g(cols_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const auto rr = row(r);
-    for (std::size_t i = 0; i < cols_; ++i) {
-      if (rr[i] == 0.0) continue;
-      for (std::size_t j = i; j < cols_; ++j) g(i, j) += rr[i] * rr[j];
+void Matrix::gram_into(Matrix& g) const {
+  HSLB_EXPECTS(&g != this);
+  g.assign(cols_, cols_, 0.0);
+  // Entry (i, j) sums rr[i] * rr[j] over the rows in order from 0.0,
+  // skipping rows whose column-i entry is zero. Entries are the outer loop
+  // so each sum stays in a register.
+  for (std::size_t i = 0; i < cols_; ++i) {
+    for (std::size_t j = i; j < cols_; ++j) {
+      double acc = 0.0;
+      for (std::size_t r = 0; r < rows_; ++r) {
+        const double* rr = data_.data() + r * cols_;
+        if (rr[i] == 0.0) continue;
+        acc += rr[i] * rr[j];
+      }
+      g(i, j) = acc;
     }
   }
   for (std::size_t i = 0; i < cols_; ++i)
     for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
-  return g;
 }
 
 double Matrix::frobenius_norm() const {

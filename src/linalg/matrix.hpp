@@ -29,6 +29,14 @@ class Matrix {
   /// Identity matrix of order n.
   static Matrix identity(std::size_t n);
 
+  /// Reshapes to rows x cols with every entry set to `fill`, reusing the
+  /// storage when it is large enough (no allocation in steady state).
+  void assign(std::size_t rows, std::size_t cols, double fill = 0.0) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, fill);
+  }
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
@@ -59,12 +67,15 @@ class Matrix {
 
   /// Transpose-matrix-vector product A^T y; y.size() must equal rows().
   Vector mul_transpose(std::span<const double> y) const;
+  /// Same product written into `x` (x.size() must equal cols()).
+  void mul_transpose_into(std::span<const double> y, std::span<double> x) const;
 
   /// Matrix-matrix product; this->cols() must equal other.rows().
   Matrix mul(const Matrix& other) const;
 
-  /// A^T A (Gram matrix), used to form normal equations.
-  Matrix gram() const;
+  /// A^T A (Gram matrix), used to form normal equations, written into
+  /// `g`, which is reshaped to cols() x cols().
+  void gram_into(Matrix& g) const;
 
   /// Frobenius norm.
   double frobenius_norm() const;

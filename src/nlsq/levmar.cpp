@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/contracts.hpp"
-#include "linalg/decomp.hpp"
 
 namespace hslb::nlsq {
 
@@ -18,7 +17,7 @@ double clamp_to_box(const Problem& pb, std::size_t i, double v) {
   return std::clamp(v, lo, hi);
 }
 
-double sum_of_squares(const linalg::Vector& r) {
+double sum_of_squares(std::span<const double> r) {
   double acc = 0.0;
   for (double v : r) acc += v * v;
   return acc;
@@ -26,14 +25,23 @@ double sum_of_squares(const linalg::Vector& r) {
 }  // namespace
 
 double Problem::cost(std::span<const double> p) const {
-  return sum_of_squares(residuals(p));
+  linalg::Vector r(num_residuals);
+  residuals(p, r);
+  return sum_of_squares(r);
 }
 
-linalg::Matrix numeric_jacobian(const Problem& problem,
-                                std::span<const double> p) {
-  linalg::Matrix jac(problem.num_residuals, problem.num_params);
-  linalg::Vector q(p.begin(), p.end());
-  for (std::size_t j = 0; j < problem.num_params; ++j) {
+void numeric_jacobian(const Problem& problem, std::span<const double> p,
+                      linalg::Matrix& jac, linalg::Vector& scratch) {
+  const std::size_t n = problem.num_params;
+  const std::size_t m = problem.num_residuals;
+  HSLB_EXPECTS(p.size() == n);
+  if (jac.rows() != m || jac.cols() != n) jac.assign(m, n);
+  scratch.resize(n + 2 * m);
+  const std::span<double> q = std::span<double>(scratch).first(n);
+  const std::span<double> r_fwd = std::span<double>(scratch).subspan(n, m);
+  const std::span<double> r_bwd = std::span<double>(scratch).subspan(n + m, m);
+  std::copy(p.begin(), p.end(), q.begin());
+  for (std::size_t j = 0; j < n; ++j) {
     const double h = 1e-7 * (1.0 + std::fabs(q[j]));
     // Respect the box: fall back to one-sided differences at a bound.
     const double lo = problem.lower.empty() ? -kInf : problem.lower[j];
@@ -43,49 +51,72 @@ linalg::Matrix numeric_jacobian(const Problem& problem,
     HSLB_ASSERT(fwd > bwd);
     const double saved = q[j];
     q[j] = fwd;
-    const auto r_fwd = problem.residuals(q);
+    problem.residuals(q, r_fwd);
     q[j] = bwd;
-    const auto r_bwd = problem.residuals(q);
+    problem.residuals(q, r_bwd);
     q[j] = saved;
-    for (std::size_t i = 0; i < problem.num_residuals; ++i)
+    for (std::size_t i = 0; i < m; ++i)
       jac(i, j) = (r_fwd[i] - r_bwd[i]) / (fwd - bwd);
   }
-  return jac;
 }
 
 LevMarResult minimize(const Problem& problem, std::span<const double> start,
                       const LevMarOptions& options) {
+  LevMarWorkspace ws;
+  return minimize(problem, start, options, ws);
+}
+
+LevMarResult minimize(const Problem& problem, std::span<const double> start,
+                      const LevMarOptions& options, LevMarWorkspace& ws) {
   HSLB_EXPECTS(problem.num_params > 0);
   HSLB_EXPECTS(problem.num_residuals >= 1);
   HSLB_EXPECTS(start.size() == problem.num_params);
   HSLB_EXPECTS(problem.lower.empty() || problem.lower.size() == problem.num_params);
   HSLB_EXPECTS(problem.upper.empty() || problem.upper.size() == problem.num_params);
 
-  linalg::Vector x(start.begin(), start.end());
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = clamp_to_box(problem, i, x[i]);
+  const std::size_t n = problem.num_params;
+  const std::size_t m = problem.num_residuals;
+  linalg::Vector& x = ws.x;
+  linalg::Vector& x_new = ws.x_trial;
+  linalg::Vector& r = ws.r;
+  linalg::Vector& r_new = ws.r_trial;
+  linalg::Vector& g = ws.jtr;
+  linalg::Vector& delta = ws.step;
+  linalg::Matrix& jac = ws.jac;
+  x.assign(start.begin(), start.end());
+  x_new.resize(n);
+  r.resize(m);
+  r_new.resize(m);
+  g.resize(n);
+  delta.resize(n);
+  if (jac.rows() != m || jac.cols() != n) jac.assign(m, n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = clamp_to_box(problem, i, x[i]);
 
   LevMarResult result;
   // Residuals at x: evaluated once here, then taken over from each accepted
   // trial point, so no iteration re-evaluates the point whose cost it
   // already holds.
-  linalg::Vector r = problem.residuals(x);
+  problem.residuals(x, r);
   double cost = sum_of_squares(r);
   double lambda = options.initial_lambda;
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    const auto jac = problem.jacobian ? problem.jacobian(x)
-                                      : numeric_jacobian(problem, x);
-    HSLB_ASSERT(jac.rows() == problem.num_residuals);
-    HSLB_ASSERT(jac.cols() == problem.num_params);
+    if (problem.jacobian) {
+      problem.jacobian(x, jac);
+    } else {
+      numeric_jacobian(problem, x, jac, ws.diff);
+    }
+    HSLB_ASSERT(jac.rows() == m);
+    HSLB_ASSERT(jac.cols() == n);
 
     // Gradient of SSE: g = 2 J^T r (factor 2 irrelevant for tests below).
-    const auto g = jac.mul_transpose(r);
+    jac.mul_transpose_into(r, g);
 
     // Projected-gradient convergence test: components pushing out of the
     // box at an active bound do not count.
     double gmax = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const double lo = problem.lower.empty() ? -kInf : problem.lower[i];
       const double hi = problem.upper.empty() ? kInf : problem.upper[i];
       double gi = g[i];
@@ -98,40 +129,41 @@ LevMarResult minimize(const Problem& problem, std::span<const double> start,
       break;
     }
 
-    const auto jtj = jac.gram();
+    jac.gram_into(ws.jtj);
+    const linalg::Matrix& jtj = ws.jtj;
 
     bool stepped = false;
     while (lambda <= options.max_lambda) {
       // (J^T J + lambda * diag(J^T J) + eps I) delta = -J^T r
-      linalg::Matrix a = jtj;
+      linalg::Matrix& a = ws.damped;
+      a = jtj;
       for (std::size_t i = 0; i < a.rows(); ++i)
         a(i, i) += lambda * std::max(jtj(i, i), 1e-12);
-      const auto chol = linalg::Cholesky::factor(a);
-      if (!chol) {
+      if (!ws.chol.refactor(a)) {
         lambda *= options.lambda_up;
         continue;
       }
-      auto delta = chol->solve(g);
+      std::copy(g.begin(), g.end(), delta.begin());
+      ws.chol.solve_in_place(delta);
       for (double& d : delta) d = -d;
 
-      linalg::Vector x_new(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i)
+      for (std::size_t i = 0; i < n; ++i)
         x_new[i] = clamp_to_box(problem, i, x[i] + delta[i]);
 
-      linalg::Vector r_new = problem.residuals(x_new);
+      problem.residuals(x_new, r_new);
       const double new_cost = sum_of_squares(r_new);
       if (new_cost < cost) {
         // Accept.
         double step = 0.0, scale = 0.0;
-        for (std::size_t i = 0; i < x.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
           step = std::max(step, std::fabs(x_new[i] - x[i]));
           scale = std::max(scale, std::fabs(x[i]));
         }
         const bool tiny_step = step < options.step_tol * (1.0 + scale);
         const bool tiny_decrease =
             (cost - new_cost) < options.cost_tol * (1.0 + cost);
-        x = std::move(x_new);
-        r = std::move(r_new);
+        std::swap(x, x_new);
+        std::swap(r, r_new);
         cost = new_cost;
         lambda = std::max(lambda * options.lambda_down, 1e-12);
         stepped = true;
@@ -149,7 +181,7 @@ LevMarResult minimize(const Problem& problem, std::span<const double> start,
     }
   }
 
-  result.params = std::move(x);
+  result.params = x;
   result.cost = cost;
   return result;
 }

@@ -11,17 +11,25 @@
 #include <span>
 #include <vector>
 
+#include "linalg/decomp.hpp"
 #include "linalg/matrix.hpp"
 
 namespace hslb::nlsq {
 
 /// Residual function r(p) with an optional analytic Jacobian dr/dp.
-/// When `jacobian` is empty, central finite differences are used.
+/// Both callbacks write into caller-owned buffers, so the solver's inner
+/// loop allocates nothing. When `jacobian` is empty, central finite
+/// differences are used.
 struct Problem {
   std::size_t num_params = 0;
   std::size_t num_residuals = 0;
-  std::function<linalg::Vector(std::span<const double>)> residuals;
-  std::function<linalg::Matrix(std::span<const double>)> jacobian;  // optional
+  /// Writes r(p) into `r` (num_residuals entries).
+  std::function<void(std::span<const double> p, std::span<double> r)>
+      residuals;
+  /// Optional: writes dr/dp into `jac`, already shaped num_residuals x
+  /// num_params.
+  std::function<void(std::span<const double> p, linalg::Matrix& jac)>
+      jacobian;
 
   /// Box bounds; empty means unbounded in that direction.
   linalg::Vector lower, upper;  // sized num_params, +-inf allowed
@@ -48,12 +56,32 @@ struct LevMarResult {
   bool converged = false;
 };
 
-/// Runs LM from `start` (projected into the box first).
+/// Working storage of one LM run: the iterate and the trial point, their
+/// residuals, the Jacobian, J^T r, J^T J, the damped matrix, its Cholesky
+/// factor and the step. Shaped on first use; runs that reuse a workspace
+/// on a problem of the same size (the starts of minimize_multistart)
+/// allocate nothing for it.
+struct LevMarWorkspace {
+  linalg::Vector x, x_trial, r, r_trial, jtr, step;
+  linalg::Matrix jac, jtj, damped;
+  linalg::Cholesky chol;
+  /// Finite-difference scratch (numeric_jacobian).
+  linalg::Vector diff;
+};
+
+/// Runs LM from `start` (projected into the box first) in its own
+/// workspace.
 LevMarResult minimize(const Problem& problem, std::span<const double> start,
                       const LevMarOptions& options = {});
 
-/// Central-difference Jacobian helper (exposed for tests).
-linalg::Matrix numeric_jacobian(const Problem& problem,
-                                std::span<const double> p);
+/// Same run in a caller-owned workspace.
+LevMarResult minimize(const Problem& problem, std::span<const double> start,
+                      const LevMarOptions& options, LevMarWorkspace& ws);
+
+/// Central-difference Jacobian at `p` into `jac` (reshaped to
+/// num_residuals x num_params). `scratch` holds the perturbed point and
+/// the two residual vectors; it is resized on first use.
+void numeric_jacobian(const Problem& problem, std::span<const double> p,
+                      linalg::Matrix& jac, linalg::Vector& scratch);
 
 }  // namespace hslb::nlsq

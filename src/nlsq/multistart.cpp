@@ -19,10 +19,13 @@ MultistartResult minimize_multistart(const Problem& problem,
 
   Rng rng(options.seed);
   MultistartResult out;
+  out.local_costs.reserve(options.num_starts);
   bool have_best = false;
 
+  // One workspace for every start: only the first run shapes it.
+  LevMarWorkspace ws;
   auto try_start = [&](const linalg::Vector& start) {
-    const auto res = minimize(problem, start, options.levmar);
+    const auto res = minimize(problem, start, options.levmar, ws);
     ++out.starts_tried;
     if (res.converged) ++out.starts_converged;
     out.local_costs.push_back(res.cost);
@@ -44,8 +47,8 @@ MultistartResult minimize_multistart(const Problem& problem,
   }
   try_start(mid);
 
+  linalg::Vector start(problem.num_params);
   for (std::size_t s = 1; s < options.num_starts; ++s) {
-    linalg::Vector start(problem.num_params);
     for (std::size_t i = 0; i < problem.num_params; ++i) {
       if (start_lower[i] > 0.0) {
         // Log-uniform across positive scales.

@@ -8,6 +8,7 @@
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "nlsq/multistart.hpp"
+#include "perf/fitproblem.hpp"
 
 namespace hslb::perf {
 
@@ -27,12 +28,14 @@ CostModel bind_params(const CostModelSpec& spec, std::span<const double> p) {
 /// Validates the sample set and derives the data-driven fit scales.
 FitScales make_scales(const SampleSet& samples, const FitOptions& options) {
   HSLB_EXPECTS(samples.size() >= 2);
+  HSLB_EXPECTS(std::isfinite(options.min_c) && std::isfinite(options.max_c));
+  HSLB_EXPECTS(options.min_c <= options.max_c);
   std::set<double> distinct;
   double max_y = 0.0, min_y = samples.front().seconds;
   double max_an = 0.0;  // bound for the scalable coefficient a
   for (const auto& s : samples) {
-    HSLB_EXPECTS(s.nodes >= 1.0);
-    HSLB_EXPECTS(s.seconds > 0.0);
+    HSLB_EXPECTS(std::isfinite(s.nodes) && s.nodes >= 1.0);
+    HSLB_EXPECTS(std::isfinite(s.seconds) && s.seconds > 0.0);
     distinct.insert(s.nodes);
     max_y = std::max(max_y, s.seconds);
     min_y = std::min(min_y, s.seconds);
@@ -42,68 +45,6 @@ FitScales make_scales(const SampleSet& samples, const FitOptions& options) {
   return FitScales{options.min_c, options.max_c, options.a_scale,
                    options.d_scale, max_y,       min_y,
                    max_an};
-}
-
-/// The nlsq least-squares problem plus the multistart sampling box, built
-/// once and shared between the cold multistart fit and the warm refit. The
-/// returned lambdas reference `samples`/`spec`, which must outlive the
-/// problem.
-struct FitProblem {
-  nlsq::Problem problem;
-  linalg::Vector start_lo, start_hi;
-};
-
-FitProblem build_problem(const SampleSet& samples, const CostModelSpec& spec,
-                         const FitScales& scales, std::size_t num_params) {
-  FitProblem fp;
-  nlsq::Problem& problem = fp.problem;
-  problem.num_params = num_params;
-  problem.num_residuals = samples.size();
-  problem.residuals = [&samples, &spec](std::span<const double> p) {
-    const CostModel m = bind_params(spec, p);
-    linalg::Vector r(samples.size());
-    for (std::size_t i = 0; i < samples.size(); ++i)
-      r[i] = samples[i].seconds - m.eval(samples[i].nodes);
-    return r;
-  };
-  problem.jacobian = [&samples, &spec,
-                      num_params](std::span<const double> p) {
-    linalg::Matrix jac(samples.size(), num_params);
-    std::vector<double> g(num_params);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      std::size_t off = 0;
-      for (const auto& term : spec) {
-        const std::size_t k = term->num_params();
-        if (k > 0) {
-          term->grad_params(p.subspan(off, k), samples[i].nodes,
-                            std::span<double>(g).subspan(off, k));
-        }
-        off += k;
-      }
-      for (std::size_t j = 0; j < num_params; ++j) jac(i, j) = -g[j];
-    }
-    return jac;
-  };
-
-  // Positivity constraints (Table II, line 11) and each term's own bound
-  // windows, concatenated in spec order.
-  problem.lower = linalg::Vector(num_params);
-  problem.upper = linalg::Vector(num_params);
-  fp.start_lo = linalg::Vector(num_params);
-  fp.start_hi = linalg::Vector(num_params);
-  std::size_t off = 0;
-  for (const auto& term : spec) {
-    const std::size_t k = term->num_params();
-    if (k > 0) {
-      term->fit_bounds(scales,
-                       std::span<double>(problem.lower).subspan(off, k),
-                       std::span<double>(problem.upper).subspan(off, k));
-      term->start_box(scales, std::span<double>(fp.start_lo).subspan(off, k),
-                      std::span<double>(fp.start_hi).subspan(off, k));
-    }
-    off += k;
-  }
-  return fp;
 }
 
 /// Fills the derived fields (power-law view, R², RMSE) from `out.cost`.
@@ -118,6 +59,29 @@ void score(const SampleSet& samples, FitResult& out) {
   out.rmse = stats::rmse(observed, predicted);
 }
 
+std::size_t count_params(const CostModelSpec& spec) {
+  std::size_t num_params = 0;
+  for (const auto& term : spec) num_params += term->num_params();
+  return num_params;
+}
+
+/// The multistart fit over a built problem; the caller scores the result.
+FitResult multistart(const FitProblem& fp, const CostModelSpec& spec,
+                     const FitOptions& options) {
+  nlsq::MultistartOptions ms;
+  ms.num_starts = options.num_starts;
+  ms.seed = options.seed;
+  const auto res = nlsq::minimize_multistart(fp.problem(), fp.start_lower(),
+                                             fp.start_upper(), ms);
+  FitResult out;
+  out.cost = bind_params(spec, res.best.params);
+  out.sse = res.best.cost;
+  out.starts_tried = res.starts_tried;
+  out.starts_converged = res.starts_converged;
+  out.converged = res.best.converged;
+  return out;
+}
+
 }  // namespace
 
 FitResult fit_cost(const SampleSet& samples, const CostModelSpec& spec,
@@ -125,11 +89,8 @@ FitResult fit_cost(const SampleSet& samples, const CostModelSpec& spec,
   HSLB_EXPECTS(!spec.empty());
   const FitScales scales = make_scales(samples, options);
 
-  std::size_t num_params = 0;
-  for (const auto& term : spec) num_params += term->num_params();
-
   FitResult out;
-  if (num_params == 0) {
+  if (count_params(spec) == 0) {
     // Every term pinned — nothing to optimize, just score the model.
     out.cost = bind_params(spec, {});
     out.converged = true;
@@ -138,19 +99,8 @@ FitResult fit_cost(const SampleSet& samples, const CostModelSpec& spec,
       out.sse += r * r;
     }
   } else {
-    const FitProblem fp = build_problem(samples, spec, scales, num_params);
-
-    nlsq::MultistartOptions ms;
-    ms.num_starts = options.num_starts;
-    ms.seed = options.seed;
-    const auto res =
-        nlsq::minimize_multistart(fp.problem, fp.start_lo, fp.start_hi, ms);
-
-    out.cost = bind_params(spec, res.best.params);
-    out.sse = res.best.cost;
-    out.starts_tried = res.starts_tried;
-    out.starts_converged = res.starts_converged;
-    out.converged = res.best.converged;
+    const FitProblem fp(samples, spec, scales);
+    out = multistart(fp, spec, options);
   }
 
   score(samples, out);
@@ -192,7 +142,8 @@ SampleSet fold_observations(const SampleSet& gathered,
   SampleSet out = gathered;
   for (const auto& o : observations) {
     if (o.task != task || o.epoch < oldest || o.epoch > epoch) continue;
-    HSLB_EXPECTS(o.nodes >= 1.0 && o.seconds > 0.0);
+    HSLB_EXPECTS(std::isfinite(o.nodes) && o.nodes >= 1.0);
+    HSLB_EXPECTS(std::isfinite(o.seconds) && o.seconds > 0.0);
     for (std::size_t r = 0; r < reps; ++r)
       out.push_back({o.nodes, o.seconds});
   }
@@ -219,8 +170,7 @@ FitResult refit_cost(const SampleSet& samples, const CostModelSpec& spec,
   HSLB_EXPECTS(!spec.empty());
   HSLB_EXPECTS(previous.cost.num_terms() == spec.size());
 
-  std::size_t num_params = 0;
-  for (const auto& term : spec) num_params += term->num_params();
+  const std::size_t num_params = count_params(spec);
   if (num_params == 0) return fit_cost(samples, spec, options);
 
   // Previous parameters concatenated in spec order — the warm start.
@@ -233,20 +183,21 @@ FitResult refit_cost(const SampleSet& samples, const CostModelSpec& spec,
   }
 
   const FitScales scales = make_scales(samples, options);
-  const FitProblem fp = build_problem(samples, spec, scales, num_params);
-  const auto res = nlsq::minimize(fp.problem, warm);
-  if (!res.converged) {
-    FitResult cold = fit_cost(samples, spec, options);
-    cold.refit_fallback = true;
-    return cold;
-  }
-
+  const FitProblem fp(samples, spec, scales);
+  const auto res = nlsq::minimize(fp.problem(), warm);
   FitResult out;
-  out.cost = bind_params(spec, res.params);
-  out.sse = res.cost;
-  out.starts_tried = 1;
-  out.starts_converged = 1;
-  out.converged = true;
+  if (res.converged) {
+    out.cost = bind_params(spec, res.params);
+    out.sse = res.cost;
+    out.starts_tried = 1;
+    out.starts_converged = 1;
+    out.converged = true;
+  } else {
+    // The multistart reuses the problem: its caches are keyed by the
+    // parameters, so the warm run leaves nothing that could change a bit.
+    out = multistart(fp, spec, options);
+    out.refit_fallback = true;
+  }
   score(samples, out);
   return out;
 }

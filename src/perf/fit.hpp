@@ -28,10 +28,6 @@ class ThreadPool;
 
 namespace hslb::perf {
 
-/// The terms a fit should compose; parameter values come out in the
-/// resulting CostModel, laid out in spec order.
-using CostModelSpec = std::vector<TermPtr>;
-
 struct FitOptions {
   std::size_t num_starts = 24;
   std::uint64_t seed = 1234;

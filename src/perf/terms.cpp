@@ -17,6 +17,16 @@ void CostTerm::grad_params(std::span<const double>, double,
   HSLB_ASSERT(!"grad_params called on a term without fitted parameters");
 }
 
+void CostTerm::eval_grid(std::span<const double> p, const NodeGrid& grid,
+                         GridCache&, std::span<double> values,
+                         std::span<double> grads) const {
+  const std::size_t k = num_params();
+  for (std::size_t i = 0; i < grid.nodes.size(); ++i) {
+    if (!values.empty()) values[i] = eval(p, grid.nodes[i]);
+    if (!grads.empty()) grad_params(p, grid.nodes[i], grads.subspan(i * k, k));
+  }
+}
+
 void CostTerm::fit_bounds(const FitScales&, std::span<double> lo,
                           std::span<double> hi) const {
   for (auto& v : lo) v = 0.0;
@@ -58,6 +68,32 @@ class PowerLawTerm final : public CostTerm {
                    std::span<double> out) const override {
     const auto g = as_model(p).grad_params(n);
     for (std::size_t j = 0; j < 4; ++j) out[j] = g[j];
+  }
+  // Model::eval and Model::grad_params over the grid, with n^c computed
+  // once per node count and kept in `cache` for the next call at the same
+  // c, and 1/n and ln n taken from the grid. Same expressions, same bits.
+  void eval_grid(std::span<const double> p, const NodeGrid& grid,
+                 GridCache& cache, std::span<double> values,
+                 std::span<double> grads) const override {
+    const double a = p[0], b = p[1], c = p[2], d = p[3];
+    const std::size_t count = grid.nodes.size();
+    if (cache.values.size() != count || !(cache.key == c)) {
+      cache.values.resize(count);
+      for (std::size_t k = 0; k < count; ++k)
+        cache.values[k] = std::pow(grid.nodes[k], c);
+      cache.key = c;
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      const double pnc = cache.values[k];
+      if (!values.empty()) values[k] = a / grid.nodes[k] + b * pnc + d;
+      if (!grads.empty()) {
+        const std::span<double> g = grads.subspan(4 * k, 4);
+        g[0] = grid.inv[k];
+        g[1] = pnc;
+        g[2] = b * pnc * grid.log[k];
+        g[3] = 1.0;
+      }
+    }
   }
   void fit_bounds(const FitScales& s, std::span<double> lo,
                   std::span<double> hi) const override {

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -53,6 +54,23 @@ struct FitScales {
   double max_an = 0.0;  ///< max over samples of seconds * nodes
 };
 
+/// The node counts a fit evaluates its terms at, with the per-count
+/// quantities that do not depend on the parameters. Built once per fit.
+struct NodeGrid {
+  std::span<const double> nodes;  ///< distinct node counts n_k (>= 1)
+  std::span<const double> inv;    ///< 1.0 / n_k
+  std::span<const double> log;    ///< std::log(n_k)
+};
+
+/// Scratch a term may keep between grid evaluations of one fit — the power
+/// law keeps n_k^c there, keyed by c, so the Jacobian at an accepted point
+/// reuses the powers its residuals computed. Owned by one fit call, which
+/// reserves room for one value per node count.
+struct GridCache {
+  std::vector<double> values;
+  double key = std::numeric_limits<double>::quiet_NaN();
+};
+
 /// One named, possibly-parameterized additive contribution to a cost model.
 /// Stateless with respect to parameter *values* — those live in the owning
 /// CostModel — so a term instance can be shared between models.
@@ -76,6 +94,15 @@ class CostTerm {
   /// called when num_params() > 0. `out` has num_params() entries.
   virtual void grad_params(std::span<const double> p, double n,
                            std::span<double> out) const;
+
+  /// Batched eval/grad_params over a grid, for the fitter's inner loop:
+  /// fills values[k] = eval(p, n_k) when `values` is non-empty, and the
+  /// gradient rows grads[k * num_params() + j] when `grads` is non-empty.
+  /// The default loops the per-sample methods; an override must reproduce
+  /// them bit for bit.
+  virtual void eval_grid(std::span<const double> p, const NodeGrid& grid,
+                         GridCache& cache, std::span<double> values,
+                         std::span<double> grads) const;
 
   /// Fit box constraints for the term's parameters (num_params() entries).
   virtual void fit_bounds(const FitScales& scales, std::span<double> lo,
@@ -106,9 +133,14 @@ class CostTerm {
 
 using TermPtr = std::shared_ptr<const CostTerm>;
 
-/// The shared 4-parameter power-law term (a, b, c, d). All methods
-/// delegate to perf::Model, so a single-powerlaw CostModel reproduces the
-/// pre-refactor float operations exactly.
+/// The terms a fit should compose; parameter values come out in the
+/// resulting CostModel, laid out in spec order.
+using CostModelSpec = std::vector<TermPtr>;
+
+/// The shared 4-parameter power-law term (a, b, c, d). Its per-sample
+/// methods delegate to perf::Model, so a single-powerlaw CostModel
+/// reproduces the pre-refactor float operations exactly; its eval_grid
+/// evaluates the same expressions with n^c shared per node count.
 TermPtr power_law_term();
 
 /// a/n^c scalable-work term (params a, c).

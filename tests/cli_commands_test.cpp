@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "perf/benchdata.hpp"
 
 namespace hslb::cli {
 namespace {
@@ -24,6 +27,35 @@ Args fmo_args(std::vector<const char*> extra) {
                "trace", "straggler-cv", "fail-node", "fail-time",
                "fail-downtime", "link-gb", "mem-gb", "page-s-per-gb",
                "rebalance-threshold", "refit-window", "max-epochs"});
+}
+
+// Mirrors the fit registration in main.cpp.
+Args fit_args(std::vector<const char*> extra) {
+  std::vector<const char*> argv = {"fit"};
+  argv.insert(argv.end(), extra.begin(), extra.end());
+  return Args(static_cast<int>(argv.size()), argv.data(), {},
+              {"bench", "out", "min-c", "starts"});
+}
+
+TEST(CliCommands, FitMinExponentAboveMaxRejected) {
+  // A valid bench table, so only the exponent window can be at fault.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hslb_cli_min_c_bench.csv")
+          .string();
+  perf::BenchTable table;
+  table.tasks.push_back({"t", {{1.0, 10.0}, {2.0, 5.5}, {4.0, 3.2}}});
+  table.save(path);
+  try {
+    cmd_fit(fit_args({"--bench", path.c_str(), "--min-c", "5"}));
+    ADD_FAILURE() << "--min-c 5 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--min-c"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cmd_fit(fit_args({"--bench", path.c_str(), "--min-c", "3",
+                              "--starts", "2"})),
+            0);
+  std::filesystem::remove(path);
 }
 
 TEST(CliCommands, FailNodeWithoutFailTimeRejected) {

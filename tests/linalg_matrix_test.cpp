@@ -73,7 +73,8 @@ TEST(Matrix, MatMatKnownProduct) {
 
 TEST(Matrix, GramMatchesExplicit) {
   const auto a = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
-  const auto g = a.gram();
+  Matrix g;
+  a.gram_into(g);
   const auto expected = a.transposed().mul(a);
   for (std::size_t r = 0; r < 2; ++r)
     for (std::size_t c = 0; c < 2; ++c)

@@ -17,10 +17,8 @@ Problem bowl(const linalg::Vector& target) {
   Problem p;
   p.num_params = target.size();
   p.num_residuals = target.size();
-  p.residuals = [target](std::span<const double> x) {
-    linalg::Vector r(target.size());
+  p.residuals = [target](std::span<const double> x, std::span<double> r) {
     for (std::size_t i = 0; i < r.size(); ++i) r[i] = x[i] - target[i];
-    return r;
   };
   return p;
 }
@@ -57,8 +55,9 @@ TEST(LevMar, RosenbrockConverges) {
   Problem p;
   p.num_params = 2;
   p.num_residuals = 2;
-  p.residuals = [](std::span<const double> v) {
-    return linalg::Vector{10.0 * (v[1] - v[0] * v[0]), 1.0 - v[0]};
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = 10.0 * (v[1] - v[0] * v[0]);
+    r[1] = 1.0 - v[0];
   };
   LevMarOptions opt;
   opt.max_iterations = 500;
@@ -76,11 +75,9 @@ TEST(LevMar, ExponentialCurveFit) {
   Problem p;
   p.num_params = 2;
   p.num_residuals = ts.size();
-  p.residuals = [&](std::span<const double> v) {
-    linalg::Vector r(ts.size());
+  p.residuals = [&](std::span<const double> v, std::span<double> r) {
     for (std::size_t i = 0; i < ts.size(); ++i)
       r[i] = ys[i] - v[0] * std::exp(v[1] * ts[i]);
-    return r;
   };
   const auto res = minimize(p, std::vector<double>{1.0, 0.0});
   EXPECT_NEAR(res.params[0], p0, 1e-6);
@@ -92,13 +89,13 @@ TEST(LevMar, NumericJacobianMatchesAnalytic) {
   p.num_params = 2;
   p.num_residuals = 3;
   const std::vector<double> ts{1.0, 2.0, 3.0};
-  p.residuals = [&](std::span<const double> v) {
-    linalg::Vector r(3);
+  p.residuals = [&](std::span<const double> v, std::span<double> r) {
     for (std::size_t i = 0; i < 3; ++i) r[i] = v[0] * ts[i] * ts[i] + v[1] / ts[i];
-    return r;
   };
   const std::vector<double> at{0.7, -1.3};
-  const auto jac = numeric_jacobian(p, at);
+  linalg::Matrix jac;
+  linalg::Vector scratch;
+  numeric_jacobian(p, at, jac, scratch);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(jac(i, 0), ts[i] * ts[i], 1e-5);
     EXPECT_NEAR(jac(i, 1), 1.0 / ts[i], 1e-5);
@@ -110,9 +107,11 @@ TEST(LevMar, CostNeverIncreases) {
   Problem p;
   p.num_params = 2;
   p.num_residuals = 4;
-  p.residuals = [](std::span<const double> v) {
-    return linalg::Vector{v[0] - 1.0, v[1] + 2.0, v[0] * v[1] - 3.0,
-                          std::sin(v[0])};
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = v[0] - 1.0;
+    r[1] = v[1] + 2.0;
+    r[2] = v[0] * v[1] - 3.0;
+    r[3] = std::sin(v[0]);
   };
   const std::vector<double> start{5.0, 5.0};
   const double initial_cost = p.cost(start);
@@ -127,15 +126,18 @@ TEST(LevMar, ReportedCostIsExactCostAtReportedParams) {
   Problem rosenbrock;
   rosenbrock.num_params = 2;
   rosenbrock.num_residuals = 2;
-  rosenbrock.residuals = [](std::span<const double> v) {
-    return linalg::Vector{10.0 * (v[1] - v[0] * v[0]), 1.0 - v[0]};
+  rosenbrock.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = 10.0 * (v[1] - v[0] * v[0]);
+    r[1] = 1.0 - v[0];
   };
   Problem coupled;
   coupled.num_params = 2;
   coupled.num_residuals = 4;
-  coupled.residuals = [](std::span<const double> v) {
-    return linalg::Vector{v[0] - 1.0, v[1] + 2.0, v[0] * v[1] - 3.0,
-                          std::sin(v[0])};
+  coupled.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = v[0] - 1.0;
+    r[1] = v[1] + 2.0;
+    r[2] = v[0] * v[1] - 3.0;
+    r[3] = std::sin(v[0]);
   };
   auto boxed = bowl({5.0});
   boxed.lower = {0.0};
@@ -144,11 +146,10 @@ TEST(LevMar, ReportedCostIsExactCostAtReportedParams) {
   Problem exponential;
   exponential.num_params = 2;
   exponential.num_residuals = ts.size();
-  exponential.residuals = [&ts](std::span<const double> v) {
-    linalg::Vector r(ts.size());
+  exponential.residuals = [&ts](std::span<const double> v,
+                                std::span<double> r) {
     for (std::size_t i = 0; i < ts.size(); ++i)
       r[i] = 2.0 * std::exp(-0.7 * ts[i]) - v[0] * std::exp(v[1] * ts[i]);
-    return r;
   };
 
   const struct {
@@ -179,8 +180,8 @@ TEST(Multistart, EscapesLocalMinimum) {
   Problem p;
   p.num_params = 1;
   p.num_residuals = 1;
-  p.residuals = [](std::span<const double> v) {
-    return linalg::Vector{v[0] * v[0] - 4.0};
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = v[0] * v[0] - 4.0;
   };
   const linalg::Vector lo{0.1}, hi{10.0};
   const auto res = minimize_multistart(p, lo, hi);
@@ -193,8 +194,8 @@ TEST(Multistart, DeterministicForSeed) {
   Problem p;
   p.num_params = 1;
   p.num_residuals = 1;
-  p.residuals = [](std::span<const double> v) {
-    return linalg::Vector{std::cos(v[0]) + 0.1 * v[0]};
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = std::cos(v[0]) + 0.1 * v[0];
   };
   const linalg::Vector lo{0.5}, hi{20.0};
   MultistartOptions opt;
@@ -209,7 +210,9 @@ TEST(Multistart, RejectsInfiniteStartBox) {
   Problem p;
   p.num_params = 1;
   p.num_residuals = 1;
-  p.residuals = [](std::span<const double> v) { return linalg::Vector{v[0]}; };
+  p.residuals = [](std::span<const double> v, std::span<double> r) {
+    r[0] = v[0];
+  };
   const linalg::Vector lo{0.0};
   const linalg::Vector hi{std::numeric_limits<double>::infinity()};
   EXPECT_THROW(minimize_multistart(p, lo, hi), ContractViolation);

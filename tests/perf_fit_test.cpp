@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -81,6 +82,25 @@ TEST(Fit, RejectsDegenerateInput) {
   EXPECT_THROW(fit(SampleSet{{4.0, 1.0}, {4.0, 1.1}}), ContractViolation);
   // Non-positive times are invalid measurements.
   EXPECT_THROW(fit(SampleSet{{1.0, 0.0}, {2.0, 1.0}}), ContractViolation);
+}
+
+TEST(Fit, RejectsInvertedOrNonFiniteExponentBox) {
+  const Model truth{700.0, 0.0, 1.0, 3.0};
+  const auto samples = sample_model(truth, {1, 4, 16, 64});
+  const CostModelSpec spec = {power_law_term()};
+  const FitResult good = fit_cost(samples, spec);
+  FitOptions inverted;
+  inverted.min_c = 5.0;  // above the default max_c = 3
+  EXPECT_THROW(fit(samples, inverted), ContractViolation);
+  // The warm refit must reject the box before it projects the start into it.
+  EXPECT_THROW(refit_cost(samples, spec, good, inverted), ContractViolation);
+  FitOptions unbounded;
+  unbounded.max_c = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(fit(samples, unbounded), ContractViolation);
+  EXPECT_THROW(refit_cost(samples, spec, good, unbounded), ContractViolation);
+  FitOptions nan_low;
+  nan_low.min_c = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(refit_cost(samples, spec, good, nan_low), ContractViolation);
 }
 
 TEST(Fit, DeterministicForSeed) {

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "common/contracts.hpp"
 
 namespace hslb::perf {
 namespace {
@@ -111,6 +114,22 @@ TEST(PerfRefit, WarmRefitOnUnchangedDataReproducesFit) {
   EXPECT_NEAR(warm.model.a, cold.model.a, 1e-6 * cold.model.a);
   EXPECT_NEAR(warm.model.d, cold.model.d, 1e-6 * std::max(1.0, cold.model.d));
   EXPECT_LE(warm.sse, cold.sse + 1e-9);
+}
+
+TEST(PerfRefit, NonFiniteSamplesAreRejected) {
+  const CostModelSpec spec = {power_law_term()};
+  const FitResult first = fit_cost(exact_samples(), spec);
+  const double inf = std::numeric_limits<double>::infinity();
+  SampleSet slow = exact_samples();
+  slow.push_back({4.0, inf});
+  EXPECT_THROW(refit_cost(slow, spec, first), ContractViolation);
+  EXPECT_THROW(fit_cost(slow, spec), ContractViolation);
+  SampleSet wide = exact_samples();
+  wide.push_back({inf, 1.0});
+  EXPECT_THROW(refit_cost(wide, spec, first), ContractViolation);
+  SampleSet nan = exact_samples();
+  nan.push_back({4.0, std::numeric_limits<double>::quiet_NaN()});
+  EXPECT_THROW(refit_cost(nan, spec, first), ContractViolation);
 }
 
 }  // namespace
