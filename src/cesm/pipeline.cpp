@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/contracts.hpp"
-#include "common/parallel.hpp"
 #include "hslb/gather.hpp"
 #include "hslb/registry.hpp"
 
@@ -286,9 +285,7 @@ class CesmApplication final : public Application, public BaselineReporter {
     out.solver.gap = s.stats.gap;
     out.solver.rel_gap = s.stats.rel_gap;
     out.solver.seconds = s.stats.seconds;
-    out.solver.threads = options_.bnb.solver_threads == 0
-                             ? ThreadPool::hardware_threads()
-                             : options_.bnb.solver_threads;
+    out.solver.threads = s.stats.threads;
     out.solver.lp_solves = s.stats.lp_solves;
     out.solver.lp_pivots = s.stats.lp_pivots;
     out.solver.warm_solves = s.stats.warm_solves;

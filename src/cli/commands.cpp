@@ -182,12 +182,15 @@ int usage(int code) {
       "  one request per call and appends it to --out, so scripts are built\n"
       "  incrementally and replayed with serve.\n"
       "\n"
-      "  --threads T parallelizes the Gather and Fit stages (0 = hardware\n"
-      "  concurrency; allocations are identical for any T).\n"
-      "  --solver-threads S parallelizes the branch-and-bound node re-solves\n"
-      "  (0 = hardware concurrency; results are bit-identical for any S).\n"
+      "  --threads T parallelizes the Gather, Fit and Solve stages: the\n"
+      "  branch-and-bound expands its node waves on the same T workers\n"
+      "  (0 = hardware concurrency; allocations are identical for any T).\n"
+      "  --solver-threads S (S != 1) gives the branch-and-bound its own pool\n"
+      "  of S threads instead (0 = hardware concurrency; results are\n"
+      "  bit-identical for any S). serve solves each request's search\n"
+      "  serially unless S != 1: its --threads workers run whole requests.\n"
       "  For fmo, --minlp routes Solve through the branch-and-bound instead\n"
-      "  of the exact greedy (the path --solver-threads parallelizes).\n"
+      "  of the exact greedy (the path the solver threads parallelize).\n"
       "  --no-presolve turns the LP presolve off for cold solver LPs;\n"
       "  --cut-age-limit K retires an OA cut after K consecutive slack\n"
       "  observations (0 keeps every cut forever).\n"

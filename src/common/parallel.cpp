@@ -6,26 +6,50 @@ namespace hslb {
 
 namespace {
 
-/// Innermost pool whose job body this thread is currently executing.
-/// Catches same-pool reentrancy (which would deadlock behind the caller's
-/// own in-flight job) while still allowing a body to drive a *different*
-/// pool.
-thread_local const ThreadPool* g_running_pool = nullptr;
+/// The pools whose job bodies this thread is currently executing, innermost
+/// first, as a chain of scopes on this thread's stack. Catches same-pool
+/// reentrancy at any depth (which would deadlock behind the caller's own
+/// in-flight job) while still allowing a body to drive a *different* pool.
+struct RunningPoolScope;
+thread_local const RunningPoolScope* g_running_scope = nullptr;
+
+/// Pool lent to the code this thread runs (ThreadPool::Lend).
+thread_local ThreadPool* g_lent_pool = nullptr;
 
 struct RunningPoolScope {
   explicit RunningPoolScope(const ThreadPool* pool)
-      : previous(g_running_pool) {
-    g_running_pool = pool;
+      : pool(pool), previous(g_running_scope) {
+    g_running_scope = this;
   }
-  ~RunningPoolScope() { g_running_pool = previous; }
-  const ThreadPool* previous;
+  ~RunningPoolScope() { g_running_scope = previous; }
+  const ThreadPool* pool;
+  const RunningPoolScope* previous;
 };
+
+bool running_job_of(const ThreadPool* pool) {
+  for (const RunningPoolScope* s = g_running_scope; s != nullptr;
+       s = s->previous) {
+    if (s->pool == pool) return true;
+  }
+  return false;
+}
 
 }  // namespace
 
 std::size_t ThreadPool::hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+ThreadPool::Lend::Lend(ThreadPool& pool) : previous_(g_lent_pool) {
+  g_lent_pool = &pool;
+}
+
+ThreadPool::Lend::~Lend() { g_lent_pool = previous_; }
+
+ThreadPool* ThreadPool::lent() {
+  if (g_lent_pool == nullptr || running_job_of(g_lent_pool)) return nullptr;
+  return g_lent_pool;
 }
 
 ThreadPool::ThreadPool(std::size_t threads)
@@ -80,7 +104,7 @@ void ThreadPool::run_indices() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   HSLB_EXPECTS(static_cast<bool>(body));
-  HSLB_EXPECTS(g_running_pool != this);  // reentrancy would self-deadlock
+  HSLB_EXPECTS(!running_job_of(this));  // reentrancy would self-deadlock
   if (n == 0) return;
   if (size_ == 1 || n == 1) {
     const RunningPoolScope scope(this);

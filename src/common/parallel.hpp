@@ -19,6 +19,13 @@
 // identical for any thread count. What stays forbidden is *reentrancy*:
 // a job body calling parallel_for on the pool that is running it would
 // deadlock behind its own job, so that is rejected loudly.
+//
+// A pool can also be *lent* to the code a thread calls (ThreadPool::Lend),
+// so a deep callee — the branch-and-bound search inside an application's
+// Solve hook — can run on the caller's workers without the pool travelling
+// through every signature in between. The lend is thread-local, and it is
+// invisible while the thread is running a job of the lent pool, so work
+// nested inside the pool's own jobs stays serial instead of reentering it.
 #pragma once
 
 #include <atomic>
@@ -64,6 +71,24 @@ class ThreadPool {
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static std::size_t hardware_threads();
+
+  /// RAII scope lending `pool` to the code this thread runs until the scope
+  /// ends; the previous lend (if any) is restored on exit, so scopes nest.
+  class Lend {
+   public:
+    explicit Lend(ThreadPool& pool);
+    ~Lend();
+    Lend(const Lend&) = delete;
+    Lend& operator=(const Lend&) = delete;
+
+   private:
+    ThreadPool* previous_;
+  };
+
+  /// The pool lent on this thread, or null when none is lent or when this
+  /// thread is running a job of the lent pool (parallel_for on it would
+  /// reenter the pool).
+  static ThreadPool* lent();
 
  private:
   void worker_loop();

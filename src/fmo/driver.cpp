@@ -39,16 +39,14 @@ std::vector<BudgetTask> make_budget_tasks(
 namespace {
 
 /// Copies branch-and-bound diagnostics into the report row shape.
-void copy_bnb_stats(SolverStats& out, const minlp::BnbResult& bnb,
-                    std::size_t solver_threads) {
+void copy_bnb_stats(SolverStats& out, const minlp::BnbResult& bnb) {
   out.status = minlp::to_string(bnb.status);
   out.nodes = bnb.nodes;
   out.cuts = bnb.cuts;
   out.gap = bnb.gap;
   out.rel_gap = bnb.rel_gap;
   out.seconds = bnb.seconds;
-  out.threads =
-      solver_threads == 0 ? ThreadPool::hardware_threads() : solver_threads;
+  out.threads = bnb.threads;
   out.lp_solves = bnb.lp_solves;
   out.lp_pivots = bnb.lp_pivots;
   out.warm_solves = bnb.warm_solves;
@@ -165,7 +163,7 @@ class FmoApplication final : public Application, public BaselineReporter {
       }
       const auto bnb = minlp::solve(model, bnb_opt);
       out.allocation = allocation_from_minlp(tasks, bnb.x, options_.objective);
-      copy_bnb_stats(out.solver, bnb, options_.bnb.solver_threads);
+      copy_bnb_stats(out.solver, bnb);
       seed_accepted_ = bnb.seed_accepted;
       // Remember what the search learned for closed-loop warm re-solves.
       last_x_ = bnb.x;
@@ -297,7 +295,7 @@ class FmoApplication final : public Application, public BaselineReporter {
         bnb_opt.seed_cuts = last_pool_;
       const auto bnb = minlp::solve(model, bnb_opt);
       out.allocation = allocation_from_minlp(tasks, bnb.x, options_.objective);
-      copy_bnb_stats(out.solver, bnb, options_.bnb.solver_threads);
+      copy_bnb_stats(out.solver, bnb);
       last_x_ = bnb.x;
       last_pool_ = bnb.pool_cuts;
       last_fit_params_ = flatten_fit_params(fits);

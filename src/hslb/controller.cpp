@@ -121,7 +121,10 @@ AdaptiveResult Controller::run(
       if (out.fits[i].second.refit_fallback) ++out.refit_fallbacks;
 
     // -- Warm re-solve + accept test -----------------------------------------
-    const ResolveOutcome proposal = app.resolve(out.fits, out.solution);
+    const ResolveOutcome proposal = [&] {
+      const ThreadPool::Lend lend(pool);  // as for Pipeline's Solve hook
+      return app.resolve(out.fits, out.solution);
+    }();
     const double gain =
         proposal.incumbent_predicted - proposal.solution.predicted_total;
     bool accept = failure;

@@ -59,9 +59,10 @@ class Controller {
   /// Runs `app` epoch by epoch from the initial Solve outputs. `bench` and
   /// `fits` are the Gather/Fit stage outputs (refits fold observations into
   /// the gathered samples); `solution` is the initial allocation. The
-  /// per-task refits of each round run on `pool`; the result is identical
-  /// for every pool size. The Application hooks are only ever called from
-  /// the calling thread.
+  /// per-task refits of each round run on `pool`, and `pool` is lent
+  /// (ThreadPool::Lend) to each resolve hook; the result is identical for
+  /// every pool size. The Application hooks are only ever called from the
+  /// calling thread.
   AdaptiveResult run(Application& app, const perf::BenchTable& bench,
                      const std::vector<std::pair<std::string, perf::FitResult>>&
                          fits,

@@ -228,8 +228,13 @@ PipelineRun Pipeline::run(Application& app, ThreadPool& pool) const {
   out.report.fit_seconds = seconds_since(t0);
 
   // -- Step 3: Solve ---------------------------------------------------------
+  // The pool is lent to the hook, so a branch-and-bound search inside it
+  // expands its node waves on these workers (minlp::BnbOptions).
   t0 = std::chrono::steady_clock::now();
-  out.solution = app.solve(out.fits);
+  {
+    const ThreadPool::Lend lend(pool);
+    out.solution = app.solve(out.fits);
+  }
   if (out.solution.predicted_total == 0.0)
     out.solution.predicted_total = out.solution.allocation.predicted_total;
   out.report.solver = out.solution.solver;

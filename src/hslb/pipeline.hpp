@@ -7,7 +7,9 @@
 // the engine runs the four steps, parallelizing the embarrassingly
 // parallel Gather and Fit stages over a fixed-size thread pool, and
 // returns a PipelineReport with per-stage wall time, per-task fit R²,
-// solver statistics, and the predicted-vs-actual delta.
+// solver statistics, and the predicted-vs-actual delta. The pool is also
+// lent (ThreadPool::Lend) to the Solve and resolve hooks, so a
+// branch-and-bound search inside them expands its node waves on it.
 //
 // Determinism contract: probe() must derive any randomness from its
 // (task, nodes, rep) arguments (see hslb::derive_seed), never from shared
@@ -43,7 +45,7 @@ struct SolverStats {
   double gap = 0.0;       ///< incumbent-vs-bound gap (0 = proven optimal)
   double rel_gap = 0.0;   ///< gap / max(1, |objective|)
   double seconds = 0.0;   ///< solver-internal wall time
-  std::size_t threads = 1;     ///< solver_threads the tree search ran with
+  std::size_t threads = 1;     ///< threads the tree search ran on
   std::size_t lp_solves = 0;   ///< LP relaxations solved
   std::size_t lp_pivots = 0;   ///< simplex pivots across all LP solves
   std::size_t warm_solves = 0; ///< LP solves that reused a prior basis
@@ -235,6 +237,9 @@ class Application {
   virtual perf::FitOptions fit_options() const { return {}; }
 
   // -- Solve ----------------------------------------------------------------
+  /// Called on the run's calling thread with the engine's pool lent
+  /// (ThreadPool::lent), so a minlp::solve with the default solver_threads
+  /// expands its node waves on the pipeline's workers.
   virtual SolveOutcome solve(
       const std::vector<std::pair<std::string, perf::FitResult>>& fits) = 0;
 

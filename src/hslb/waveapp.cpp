@@ -22,6 +22,7 @@ void copy_bnb_stats(SolverStats& out, const minlp::BnbResult& bnb) {
   out.gap = bnb.gap;
   out.rel_gap = bnb.rel_gap;
   out.seconds = bnb.seconds;
+  out.threads = bnb.threads;
   out.lp_solves = bnb.lp_solves;
   out.lp_pivots = bnb.lp_pivots;
   out.warm_solves = bnb.warm_solves;

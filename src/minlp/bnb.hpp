@@ -51,11 +51,14 @@ struct BnbOptions {
   BranchRule branch_rule = BranchRule::MostFractional;
   std::size_t max_passes_per_node = 50;  ///< QG cut-and-resolve passes
   KelleyOptions kelley;         ///< used for root & fixed-integer NLP solves
-  /// Threads for node LP re-solves (1 = serial, 0 = hardware concurrency).
-  /// The search — incumbent, bound, branching sequence, node count — is
-  /// bit-identical for every value: nodes are expanded in synchronized
-  /// best-bound waves whose composition depends only on `wave_size`, and
-  /// wave outcomes are merged in deterministic wave order.
+  /// Threads for node LP re-solves. 1 (the default) expands the waves on
+  /// the pool lent to the calling thread (ThreadPool::Lend; hslb::Pipeline
+  /// lends its own to the Solve hook), or serially when none is lent; any
+  /// other value gets a dedicated pool of that size (0 = hardware
+  /// concurrency). The search — incumbent, bound, branching sequence, node
+  /// count — is bit-identical for every pool size: nodes are expanded in
+  /// synchronized best-bound waves whose composition depends only on
+  /// `wave_size`, and wave outcomes are merged in deterministic wave order.
   std::size_t solver_threads = 1;
   /// Nodes per synchronized wave. Part of the search definition (NOT a
   /// tuning knob tied to the thread count): changing it changes which nodes
@@ -68,10 +71,6 @@ struct BnbOptions {
   /// still undercuts the incumbent (finds incumbents early on wide integer
   /// boxes where LP vertices are rarely integral).
   bool heuristic_dives = true;
-  /// Strong-branching candidates probed per fractional node (0 disables).
-  /// Probes solve both child LPs warm from the node basis, so this only
-  /// takes effect when `warm_start` is on.
-  std::size_t strong_branch_candidates = 0;
   /// Run the LP presolve (lp::Presolve) on cold solves: the root relaxation
   /// and every node LP whose warm start is rejected. Warm re-solves bypass
   /// it — their cost is a handful of dual pivots already.
@@ -122,8 +121,9 @@ struct BnbResult {
   std::size_t tree_lp_pivots = 0;  ///< pivots excluding the root relaxation
   std::size_t warm_solves = 0;     ///< LP solves that reused a prior basis
   std::size_t waves = 0;           ///< synchronized node waves executed
+  std::size_t threads = 1;         ///< size of the pool the waves ran on
   /// Sparsity and presolve counters summed over every LP solve of the
-  /// search (root relaxation, node re-solves, dives, strong-branch probes).
+  /// search (root relaxation, node re-solves, dives).
   lp::SolveStats lp_stats;
   // Domain propagation and cut lifecycle counters.
   std::size_t bounds_tightened = 0;  ///< propagation bound improvements

@@ -140,6 +140,70 @@ TEST(ThreadPool, ReentrantCallIsRejected) {
   pool.parallel_for(
       2, [&](std::size_t) { inner.parallel_for(3, [&](std::size_t) { ++count; }); });
   EXPECT_EQ(count.load(), 6);
+  // ...but not reaching back into an outer pool through one.
+  EXPECT_THROW(serial.parallel_for(1,
+                                   [&](std::size_t) {
+                                     inner.parallel_for(1, [&](std::size_t) {
+                                       serial.parallel_for(1, [](std::size_t) {});
+                                     });
+                                   }),
+               ContractViolation);
+}
+
+TEST(ThreadPoolLend, ScopeSetsAndRestoresIncludingWhenNested) {
+  EXPECT_EQ(ThreadPool::lent(), nullptr);  // nothing is lent by default
+  ThreadPool outer(2), inner(3);
+  {
+    const ThreadPool::Lend a(outer);
+    EXPECT_EQ(ThreadPool::lent(), &outer);
+    {
+      const ThreadPool::Lend b(inner);
+      EXPECT_EQ(ThreadPool::lent(), &inner);
+    }
+    EXPECT_EQ(ThreadPool::lent(), &outer);
+  }
+  EXPECT_EQ(ThreadPool::lent(), nullptr);
+}
+
+TEST(ThreadPoolLend, HiddenInsideJobsOfTheLentPool) {
+  // parallel_for on the lent pool from inside its own job would reenter
+  // it, so lent() reports nothing there — on the calling thread (which
+  // runs indices too) and on the workers (which never saw the lend).
+  ThreadPool pool(4);
+  const ThreadPool::Lend lend(pool);
+  std::vector<ThreadPool*> seen(64, &pool);
+  pool.parallel_for(seen.size(),
+                    [&](std::size_t i) { seen[i] = ThreadPool::lent(); });
+  for (ThreadPool* p : seen) EXPECT_EQ(p, nullptr);
+  // A serial pool runs its job on the caller only: hidden there as well.
+  ThreadPool serial(1);
+  const ThreadPool::Lend lend_serial(serial);
+  ThreadPool* in_job = &serial;
+  serial.parallel_for(1, [&](std::size_t) { in_job = ThreadPool::lent(); });
+  EXPECT_EQ(in_job, nullptr);
+  EXPECT_EQ(ThreadPool::lent(), &serial);
+}
+
+TEST(ThreadPoolLend, HiddenInsideAnotherPoolNestedInTheLentPoolsJob) {
+  // Lent pool A -> job of A -> job of B on the same thread: A is still
+  // busy with the outer job, so it must stay hidden.
+  ThreadPool a(1), b(1);
+  const ThreadPool::Lend lend(a);
+  ThreadPool* seen = &a;
+  a.parallel_for(1, [&](std::size_t) {
+    b.parallel_for(1, [&](std::size_t) { seen = ThreadPool::lent(); });
+  });
+  EXPECT_EQ(seen, nullptr);
+}
+
+TEST(ThreadPoolLend, VisibleOnlyOnTheLendingThread) {
+  ThreadPool pool(2);
+  const ThreadPool::Lend lend(pool);
+  ThreadPool* elsewhere = &pool;
+  std::thread other([&] { elsewhere = ThreadPool::lent(); });
+  other.join();
+  EXPECT_EQ(elsewhere, nullptr);
+  EXPECT_EQ(ThreadPool::lent(), &pool);
 }
 
 TEST(ParallelForHelper, MatchesSerialLoop) {

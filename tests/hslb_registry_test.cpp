@@ -5,6 +5,8 @@
 // and concurrent runs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 
@@ -218,6 +220,73 @@ TEST_F(RegistryTest, SharedThreadPoolInterleavedParity) {
   t2.join();
   EXPECT_EQ(c1.trace.to_csv(), fmm_solo.trace.to_csv());
   EXPECT_EQ(c2.trace.to_csv(), amrex_solo.trace.to_csv());
+
+  // The MINLP solve: the pool is lent to each run's Solve hook, so two
+  // concurrent branch-and-bound searches queue their node waves on it.
+  fmm_spec.minlp = amrex_spec.minlp = true;
+  const auto fmm_minlp_solo = engine.run(*reg.make(fmm_spec));
+  const auto amrex_minlp_solo = engine.run(*reg.make(amrex_spec));
+  EXPECT_GT(fmm_minlp_solo.report.solver.nodes, 0u);
+  EXPECT_GT(amrex_minlp_solo.report.solver.nodes, 0u);
+  auto app3 = reg.make(fmm_spec);
+  auto app4 = reg.make(amrex_spec);
+  std::thread t3([&] { c1 = engine.run(*app3, pool); });
+  std::thread t4([&] { c2 = engine.run(*app4, pool); });
+  t3.join();
+  t4.join();
+  EXPECT_EQ(c1.trace.to_csv(), fmm_minlp_solo.trace.to_csv());
+  EXPECT_EQ(c2.trace.to_csv(), amrex_minlp_solo.trace.to_csv());
+  expect_reports_identical(c1.report, fmm_minlp_solo.report);
+  expect_reports_identical(c2.report, amrex_minlp_solo.report);
+  EXPECT_EQ(c1.report.solver.threads, 4u);
+  EXPECT_EQ(c2.report.solver.threads, 4u);
+}
+
+TEST_F(RegistryTest, FmoMinlpPipelineIdenticalForEveryPoolSize) {
+  // The Solve step's branch and bound runs its waves on the pipeline's
+  // pool; the search must not depend on that pool's size.
+  ScenarioSpec spec;
+  spec.substrate = "fmo";
+  spec.variant = "water";
+  spec.tasks = 32;
+  spec.system_seed = 3;
+  spec.minlp = true;
+  spec.objective = Objective::MinMax;
+  const auto& reg = SubstrateRegistry::instance();
+
+  std::vector<PipelineRun> runs;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    PipelineOptions opt;
+    opt.threads = threads;
+    runs.push_back(Pipeline(opt).run(*reg.make(spec)));
+    EXPECT_EQ(runs.back().report.solver.threads, threads);
+  }
+  const SolverStats& a = runs[0].report.solver;
+  EXPECT_EQ(a.status, "optimal");
+  EXPECT_GT(a.nodes, a.waves);  // some wave expands several nodes
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const SolverStats& b = runs[i].report.solver;
+    const auto& x = runs[0].solution.allocation.tasks;
+    const auto& y = runs[i].solution.allocation.tasks;
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t t = 0; t < x.size(); ++t) {
+      EXPECT_EQ(x[t].task, y[t].task);
+      EXPECT_EQ(x[t].nodes, y[t].nodes);
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(runs[i].solution.predicted_total),
+              std::bit_cast<std::uint64_t>(runs[0].solution.predicted_total));
+    EXPECT_EQ(b.status, a.status);
+    EXPECT_EQ(b.nodes, a.nodes);
+    EXPECT_EQ(b.cuts, a.cuts);
+    EXPECT_EQ(b.waves, a.waves);
+    EXPECT_EQ(b.lp_solves, a.lp_solves);
+    EXPECT_EQ(b.lp_pivots, a.lp_pivots);
+    EXPECT_EQ(b.refactorizations, a.refactorizations);
+    EXPECT_EQ(b.ft_updates, a.ft_updates);
+    EXPECT_EQ(b.phase1_pivots, a.phase1_pivots);
+    EXPECT_EQ(b.dual_pivots, a.dual_pivots);
+    expect_reports_identical(runs[i].report, runs[0].report);
+  }
 }
 
 }  // namespace

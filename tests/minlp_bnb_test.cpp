@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "minlp/kelley.hpp"
 
@@ -383,6 +384,77 @@ TEST_P(BnbThreadDeterminism, BitIdenticalAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BnbThreadDeterminism, ::testing::Range(0, 20));
+
+// ---------------------------------------------------------------------------
+// Lent pools: with the default solver_threads the waves run on the pool the
+// caller lent (hslb::Pipeline lends its own to the Solve hook).
+// ---------------------------------------------------------------------------
+
+/// min sum t_i  s.t.  w_i (x_i - c_i)^2 <= t_i,  sum x_i <= budget over ten
+/// integers: wide enough that the search expands multi-node waves.
+Model wide_separable_model() {
+  Rng rng(2024);
+  Model m;
+  std::vector<lp::Coeff> sum;
+  for (int i = 0; i < 10; ++i) {
+    const auto x = m.add_integer(0.0, 20.0);
+    const auto t = m.add_continuous(0.0, 1e4);
+    m.set_objective(t, 1.0);
+    m.add_nonlinear(quad_above(x, t, rng.uniform(2.0, 18.0),
+                               rng.uniform(0.5, 3.0)));
+    sum.push_back({x, 1.0});
+  }
+  m.add_linear(sum, -kInf, 57.0);
+  return m;
+}
+
+void expect_same_search(const BnbResult& a, const BnbResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.x, b.x);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.waves, b.waves);
+  EXPECT_EQ(a.cuts, b.cuts);
+  EXPECT_EQ(a.lp_solves, b.lp_solves);
+  EXPECT_EQ(a.lp_pivots, b.lp_pivots);
+  EXPECT_EQ(a.lp_stats.refactorizations, b.lp_stats.refactorizations);
+}
+
+TEST(BnbLend, WavesRunOnTheLentPoolBitIdentically) {
+  const Model m = wide_separable_model();
+  const auto serial = solve(m);
+  EXPECT_EQ(serial.threads, 1u);
+  ASSERT_EQ(serial.status, BnbStatus::Optimal);
+  ASSERT_GT(serial.nodes, serial.waves);  // some wave holds several nodes
+
+  ThreadPool pool(4);
+  const ThreadPool::Lend lend(pool);
+  const auto lent = solve(m);
+  EXPECT_EQ(lent.threads, 4u);
+  expect_same_search(lent, serial);
+
+  // Any other solver_threads keeps a dedicated pool of that size.
+  BnbOptions opt;
+  opt.solver_threads = 2;
+  const auto own = solve(m, opt);
+  EXPECT_EQ(own.threads, 2u);
+  expect_same_search(own, serial);
+}
+
+TEST(BnbLend, SearchInsideAJobOfTheLentPoolRunsSerially) {
+  // The lent pool is busy with the job that calls the solver, so the search
+  // must not queue on it (that would reenter the pool and abort).
+  const Model m = wide_separable_model();
+  const auto serial = solve(m);
+  ThreadPool pool(2);
+  const ThreadPool::Lend lend(pool);
+  std::vector<BnbResult> inner(2);
+  pool.parallel_for(inner.size(), [&](std::size_t i) { inner[i] = solve(m); });
+  for (const BnbResult& r : inner) {
+    EXPECT_EQ(r.threads, 1u);
+    expect_same_search(r, serial);
+  }
+}
 
 class BnbSparseDenseKernels : public ::testing::TestWithParam<int> {};
 
