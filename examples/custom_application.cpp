@@ -24,6 +24,7 @@
 #include <cstdio>
 
 #include "common/rng.hpp"
+#include "hslb/budget_solve.hpp"
 #include "hslb/pipeline.hpp"
 #include "minlp/bnb.hpp"
 #include "sim/noise.hpp"
@@ -105,11 +106,7 @@ class SeismicImaging final : public Application {
     const auto sol = minlp::solve(m);
     SolveOutcome out;
     out.predicted_total = sol.objective;
-    out.solver.status = minlp::to_string(sol.status);
-    out.solver.nodes = sol.nodes;
-    out.solver.cuts = sol.cuts;
-    out.solver.gap = sol.gap;
-    out.solver.seconds = sol.seconds;
+    out.solver = solver_stats(sol);
     for (std::size_t i = 0; i < 3; ++i) {
       const auto nodes = std::llround(sol.x[n_var[i]]);
       out.allocation.tasks.push_back(

@@ -189,8 +189,9 @@ int usage(int code) {
       "  of S threads instead (0 = hardware concurrency; results are\n"
       "  bit-identical for any S). serve solves each request's search\n"
       "  serially unless S != 1: its --threads workers run whole requests.\n"
-      "  For fmo, --minlp routes Solve through the branch-and-bound instead\n"
-      "  of the exact greedy (the path the solver threads parallelize).\n"
+      "  For fmo and run, --minlp routes Solve through the branch-and-bound\n"
+      "  instead of the exact greedy (the path the solver threads\n"
+      "  parallelize); max-min has no MINLP encoding and runs the greedy.\n"
       "  --no-presolve turns the LP presolve off for cold solver LPs;\n"
       "  --cut-age-limit K retires an OA cut after K consecutive slack\n"
       "  observations (0 keeps every cut forever).\n"

@@ -18,6 +18,7 @@
 #include "fmo/molecule.hpp"
 #include "fmo/schedulers.hpp"
 #include "hslb/budget.hpp"
+#include "hslb/budget_solve.hpp"
 #include "hslb/gather.hpp"
 #include "hslb/objective.hpp"
 #include "hslb/pipeline.hpp"
@@ -25,30 +26,6 @@
 #include "perf/fit.hpp"
 
 namespace hslb::fmo {
-
-/// What one MINLP solve learned, exported for seeding a *later* pipeline's
-/// Solve step (the allocation service's cross-instance warm starts). The
-/// same idiom the closed-loop resolve() uses between epochs, lifted across
-/// pipeline runs: the donor's node counts become the candidate incumbent,
-/// its optimum a re-linearization point, and its cut pool is reused
-/// verbatim only when the fitted parameters match exactly.
-struct SolveSeed {
-  /// Donor allocation, one node count per task in task order (empty = no
-  /// incumbent seed). Clamped to the new instance's per-task bounds.
-  std::vector<long long> nodes_by_task;
-  /// Donor MINLP optimum in its variable space — re-linearized against the
-  /// new model (valid by convexity even when the fits moved).
-  std::vector<double> x;
-  /// Donor cut pool — applied only when `fit_params` equals the new
-  /// instance's flattened fit parameters (the validity condition for
-  /// reusing OA cuts verbatim).
-  std::vector<minlp::Cut> cuts;
-  std::vector<double> fit_params;
-
-  bool empty() const {
-    return nodes_by_task.empty() && x.empty() && cuts.empty();
-  }
-};
 
 struct PipelineOptions {
   /// Gather: node counts per fragment (geometric between 1 and the
@@ -63,16 +40,17 @@ struct PipelineOptions {
   perf::FitOptions fit;
 
   /// Route the Solve step through the general MINLP branch-and-bound
-  /// (build_budget_minlp + minlp::solve) instead of the exact greedy —
-  /// the paper's §III-E solver path, and the one `bnb.solver_threads`
-  /// parallelizes. Requires objective != MaxMin (no MINLP encoding).
+  /// (hslb::budget_solve) instead of the exact greedy — the paper's §III-E
+  /// solver path, and the one `bnb.solver_threads` parallelizes. Max-min
+  /// has no MINLP encoding and always runs the greedy.
   bool solve_with_minlp = false;
   minlp::BnbOptions bnb;
 
   /// Cross-instance warm seed for the Solve step (MINLP path only; ignored
-  /// by the greedy solver). Seeding never changes the optimum — an
-  /// infeasible incumbent is rejected by the B&B audit and stale cuts are
-  /// excluded by the fit-params equality check — it only prunes the tree.
+  /// by the greedy solver), applied by hslb::budget_solve's seeding rule.
+  /// Seeding never changes the optimum — an infeasible incumbent is
+  /// rejected by the B&B audit and stale cuts are excluded by the task-model
+  /// equality check — it only prunes the tree.
   SolveSeed solve_seed;
 
   /// Number of representative SCF dimers probed during Gather (spread over

@@ -11,38 +11,6 @@
 
 namespace hslb {
 
-namespace {
-
-/// B&B diagnostics copied into the report row (the headline subset; wave
-/// substrates are solver consumers, not solver benches).
-void copy_bnb_stats(SolverStats& out, const minlp::BnbResult& bnb) {
-  out.status = minlp::to_string(bnb.status);
-  out.nodes = bnb.nodes;
-  out.cuts = bnb.cuts;
-  out.gap = bnb.gap;
-  out.rel_gap = bnb.rel_gap;
-  out.seconds = bnb.seconds;
-  out.threads = bnb.threads;
-  out.lp_solves = bnb.lp_solves;
-  out.lp_pivots = bnb.lp_pivots;
-  out.warm_solves = bnb.warm_solves;
-  out.waves = bnb.waves;
-}
-
-std::vector<double> flatten_fit_params(
-    const std::vector<std::pair<std::string, perf::FitResult>>& fits) {
-  std::vector<double> out;
-  for (const auto& [name, fit] : fits) {
-    for (std::size_t i = 0; i < fit.cost.num_terms(); ++i) {
-      const auto p = fit.cost.params(i);
-      out.insert(out.end(), p.begin(), p.end());
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 WaveApplication::WaveApplication(WaveWorkload workload, long long nodes,
                                  WaveOptions options)
     : workload_(std::move(workload)), nodes_(nodes), options_(std::move(options)) {
@@ -132,43 +100,21 @@ std::vector<BudgetTask> WaveApplication::budget_tasks(
 
 SolveOutcome WaveApplication::solve(
     const std::vector<std::pair<std::string, perf::FitResult>>& fits) {
-  SolveOutcome out;
   const auto tasks = budget_tasks(fits, hi_);
-  if (options_.solve_with_minlp) {
-    const auto model = build_budget_minlp(tasks, nodes_, options_.objective);
-    const auto bnb = minlp::solve(model, options_.bnb);
-    out.allocation = allocation_from_minlp(tasks, bnb.x, options_.objective);
-    copy_bnb_stats(out.solver, bnb);
-    last_x_ = bnb.x;
-    last_pool_ = bnb.pool_cuts;
-    last_fit_params_ = flatten_fit_params(fits);
-  } else {
-    out.allocation = solve_budget(tasks, nodes_, options_.objective);
-    out.solver.status = to_string(options_.objective) + " exact greedy";
-  }
+  BudgetSolve solved = budget_solve(tasks, nodes_, options_.objective,
+                                    options_.solve_with_minlp, options_.bnb);
+  SolveOutcome out;
+  out.allocation = std::move(solved.allocation);
+  out.solver = std::move(solved.solver);
+  seed_ = std::move(solved.seed);
   double wave = 0.0;
   for (const auto& t : out.allocation.tasks)
     wave = std::max(wave, t.predicted_seconds);
   out.predicted_total = static_cast<double>(workload_.waves) *
                         (wave + workload_.sync_overhead);
-  // Term-wise predicted task-seconds over all waves (allocation entries
-  // are in task order for both solver paths).
-  const double waves = static_cast<double>(workload_.waves);
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const double n = static_cast<double>(out.allocation.tasks[t].nodes);
-    const auto& m = tasks[t].model;
-    for (std::size_t i = 0; i < m.num_terms(); ++i) {
-      const std::string& tn = m.term(i).name();
-      auto it = std::find_if(
-          out.term_predictions.begin(), out.term_predictions.end(),
-          [&](const TermReport& r) { return r.term == tn; });
-      if (it == out.term_predictions.end()) {
-        out.term_predictions.push_back({tn, 0.0, 0.0});
-        it = std::prev(out.term_predictions.end());
-      }
-      it->predicted_seconds += waves * m.term_seconds(i, n);
-    }
-  }
+  // Term-wise predicted task-seconds over all waves.
+  out.term_predictions = predict_terms(
+      tasks, out.allocation, static_cast<double>(workload_.waves));
   return out;
 }
 
@@ -326,48 +272,9 @@ ResolveOutcome WaveApplication::resolve(
     const SolveOutcome& incumbent) {
   const long long nodes = budget();
   auto tasks = budget_tasks(fits, std::min(hi_, nodes));
-  std::vector<long long> inc_nodes;
-  inc_nodes.reserve(tasks.size());
-  for (const auto& t : tasks)
-    inc_nodes.push_back(incumbent.allocation.find(t.name).nodes);
-
-  SolveOutcome out;
-  if (options_.solve_with_minlp) {
-    const auto model = build_budget_minlp(tasks, nodes, options_.objective);
-    minlp::BnbOptions bnb_opt = options_.bnb;
-    // Warm seeding from the running allocation and the previous search
-    // (same closed-loop idiom as the FMO substrate).
-    std::vector<long long> warm = inc_nodes;
-    for (std::size_t t = 0; t < tasks.size(); ++t)
-      warm[t] = std::clamp(warm[t], tasks[t].min_nodes, tasks[t].max_nodes);
-    bnb_opt.seed_incumbent = minlp_warm_start(tasks, warm, options_.objective);
-    bnb_opt.seed_points.push_back(bnb_opt.seed_incumbent);
-    if (!last_x_.empty()) bnb_opt.seed_points.push_back(last_x_);
-    if (!last_pool_.empty() && flatten_fit_params(fits) == last_fit_params_)
-      bnb_opt.seed_cuts = last_pool_;
-    const auto bnb = minlp::solve(model, bnb_opt);
-    out.allocation = allocation_from_minlp(tasks, bnb.x, options_.objective);
-    copy_bnb_stats(out.solver, bnb);
-    last_x_ = bnb.x;
-    last_pool_ = bnb.pool_cuts;
-    last_fit_params_ = flatten_fit_params(fits);
-  } else {
-    out.allocation = solve_budget(tasks, nodes, options_.objective);
-    out.solver.status = to_string(options_.objective) + " exact greedy (warm)";
-  }
-
-  std::vector<long long> new_nodes;
-  new_nodes.reserve(out.allocation.tasks.size());
-  for (const auto& t : out.allocation.tasks) new_nodes.push_back(t.nodes);
-  ResolveOutcome rr;
-  out.predicted_total =
-      evaluate_objective(tasks, new_nodes, options_.objective) +
-      workload_.sync_overhead;
-  rr.incumbent_predicted =
-      evaluate_objective(tasks, inc_nodes, options_.objective) +
-      workload_.sync_overhead;
-  rr.solution = std::move(out);
-  return rr;
+  return budget_resolve(tasks, nodes, options_.objective,
+                        options_.solve_with_minlp, options_.bnb,
+                        incumbent.allocation, workload_.sync_overhead, seed_);
 }
 
 double WaveApplication::migration_volume(const Allocation& next) const {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "hslb/budget.hpp"
+#include "hslb/budget_solve.hpp"
 #include "hslb/objective.hpp"
 #include "hslb/pipeline.hpp"
 #include "hslb/registry.hpp"
@@ -171,10 +172,8 @@ class WaveApplication final : public Application, public BaselineReporter {
   bool dlb_ran_ = false;
   double dlb_total_ = 0.0;
 
-  // Warm-resolve state (MINLP path).
-  std::vector<double> last_x_;
-  std::vector<minlp::Cut> last_pool_;
-  std::vector<double> last_fit_params_;
+  /// What the last solve or re-solve learned (warm re-solves).
+  SolveSeed seed_;
 };
 
 }  // namespace hslb

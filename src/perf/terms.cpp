@@ -283,6 +283,10 @@ class CommTerm final : public CostTerm {
     intercept = 0.0;
     return true;
   }
+  std::vector<double> constants() const override {
+    if (beta_) return {volume_gb_, *beta_};
+    return {volume_gb_};
+  }
 
  private:
   double beta_of(std::span<const double> p) const {
@@ -359,6 +363,10 @@ class MemoryTerm final : public CostTerm {
     capacity = capacity_gb_;
     demand = memory_gb_;
     return true;
+  }
+  std::vector<double> constants() const override {
+    if (gamma_) return {memory_gb_, capacity_gb_, *gamma_};
+    return {memory_gb_, capacity_gb_};
   }
 
  private:
@@ -605,6 +613,18 @@ std::pair<long long, double> CostModel::argmin_int(long long lo,
     }
   }
   return {best_n, best_t};
+}
+
+bool CostModel::operator==(const CostModel& other) const {
+  if (entries_.size() != other.entries_.size()) return false;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& a = entries_[i];
+    const Entry& b = other.entries_[i];
+    if (a.term->name() != b.term->name() ||
+        a.term->constants() != b.term->constants() || a.params != b.params)
+      return false;
+  }
+  return true;
 }
 
 std::optional<Model> CostModel::power_law() const {

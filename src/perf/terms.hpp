@@ -129,6 +129,11 @@ class CostTerm {
   /// term; returns true and fills both when one exists.
   virtual bool knapsack_row(double& capacity_gb_per_node,
                             double& demand_gb) const;
+
+  /// Construction constants, as TermRegistry::make takes them (empty for
+  /// the purely fitted terms). With name() and the parameter values they
+  /// determine the term's function.
+  virtual std::vector<double> constants() const { return {}; }
 };
 
 using TermPtr = std::shared_ptr<const CostTerm>;
@@ -225,6 +230,9 @@ class CostModel {
   /// otherwise a convex first-difference bisection (or a linear scan for
   /// non-convex models).
   std::pair<long long, double> argmin_int(long long lo, long long hi) const;
+
+  /// Same function term by term: equal names, constants and parameters.
+  bool operator==(const CostModel& other) const;
 
   /// Parameters of the first powerlaw term, when one is present (used to
   /// surface classic (a,b,c,d) fits in reports and model I/O).

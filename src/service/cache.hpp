@@ -2,10 +2,10 @@
 //
 // Keyed by the canonicalized instance signature (service/protocol.hpp).
 // Each entry stores the response payload (for exact-repeat hits, returned
-// byte-identically) AND what the solve learned (fmo::SolveSeed: the
-// allocation, the MINLP optimum, the cut pool, the fit parameters) so a
-// *different* instance can seed its branch-and-bound from the nearest
-// cached neighbor (cross-instance warm starts).
+// byte-identically) AND what the solve learned (hslb::SolveSeed: the
+// allocation, the MINLP optimum, the cut pool and the task models it was
+// cut against) so a *different* instance can seed its branch-and-bound
+// from the nearest cached neighbor (cross-instance warm starts).
 //
 // Determinism contract: lookups and nearest-neighbor scans are pure
 // functions of the entry set and its recency order; ties in nearest() are
@@ -18,7 +18,7 @@
 #include <list>
 #include <unordered_map>
 
-#include "fmo/driver.hpp"
+#include "hslb/budget_solve.hpp"
 #include "service/protocol.hpp"
 
 namespace hslb::service {
@@ -27,7 +27,7 @@ struct CacheEntry {
   Request request;  ///< canonicalized
   std::uint64_t signature = 0;
   Response response;    ///< payload of the solve that populated the entry
-  fmo::SolveSeed seed;  ///< donor data for warm-starting neighbors
+  SolveSeed seed;       ///< donor data for warm-starting neighbors
 };
 
 class SolutionCache {

@@ -11,8 +11,9 @@
 //      signature_distance — against the cache contents as of the BATCH
 //      START;
 //   2. solve (parallel): unique misses solve concurrently on the pool,
-//      each seeded from its donor (incumbent, re-linearization points,
-//      and, when the fitted parameters match exactly, the cut pool);
+//      each seeded from its donor by hslb::budget_solve's rule (incumbent,
+//      re-linearization points, and, when the task cost models match
+//      exactly, the cut pool);
 //   3. commit (sequential, script order): warm results are audited —
 //      allocation complete, budget and bounds respected, finite
 //      predictions — and a failing result is replaced by a cold re-solve
@@ -101,7 +102,7 @@ class AllocationService {
  private:
   struct Solved {
     Response response;
-    fmo::SolveSeed seed;  ///< what the solve learned (cached for donors)
+    SolveSeed seed;  ///< what the solve learned (cached for donors)
   };
 
   /// Solves one canonicalized request, seeded from `donor` (nullptr =

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <functional>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "hslb/budget_solve.hpp"
 #include "minlp/bnb.hpp"
+#include "minlp/cuts.hpp"
 
 namespace hslb {
 namespace {
@@ -226,6 +230,154 @@ TEST(BudgetMinlp, RejectsMaxMin) {
   const std::vector<BudgetTask> tasks{task("a", 10, 0, 8), task("b", 10, 0, 8)};
   EXPECT_THROW(build_budget_minlp(tasks, 8, Objective::MaxMin),
                ContractViolation);
+}
+
+// -- The budget-solve seam ----------------------------------------------------
+
+/// Three fitted-looking power-law tasks; `comm` adds a pinned communication
+/// term, which gives each task a split variable in the MINLP.
+std::vector<BudgetTask> seam_tasks(bool comm) {
+  std::vector<BudgetTask> tasks{
+      {"a", perf::Model{400.0, 0.05, 1.2, 1.0}, 1, 40},
+      {"b", perf::Model{250.0, 0.04, 1.1, 0.5}, 1, 40},
+      {"c", perf::Model{120.0, 0.02, 1.3, 0.2}, 1, 40}};
+  if (comm) {
+    for (auto& t : tasks) t.model.add(perf::make_comm_term(0.4, 0.5));
+  }
+  return tasks;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A cut no allocation satisfies: n_0 <= -1e9.
+minlp::Cut poison_cut() {
+  minlp::Cut c;
+  c.coeffs = {{0, 1.0}};
+  c.rhs = -1e9;
+  c.source_constraint = 0;
+  return c;
+}
+
+TEST(BudgetSolve, MaxMinRunsTheGreedyEvenWhenMinlpIsAsked) {
+  const auto tasks = seam_tasks(false);
+  const auto greedy = solve_budget(tasks, 48, Objective::MaxMin);
+  const auto solved =
+      budget_solve(tasks, 48, Objective::MaxMin, true, minlp::BnbOptions{});
+  EXPECT_FALSE(solved.used_minlp);
+  EXPECT_EQ(solved.solver.status, "max-min exact greedy");
+  EXPECT_EQ(solved.solver.nodes, 0u);
+  EXPECT_EQ(solved.allocation.str(), greedy.str());
+  EXPECT_EQ(bits(solved.allocation.predicted_total),
+            bits(greedy.predicted_total));
+  EXPECT_FALSE(solved.seed_accepted);
+}
+
+TEST(BudgetSolve, MinlpPathMatchesTheDirectSearchAndFillsEveryCounter) {
+  const auto tasks = seam_tasks(true);
+  const auto bnb = minlp::solve(build_budget_minlp(tasks, 48, Objective::MinMax));
+  const auto solved =
+      budget_solve(tasks, 48, Objective::MinMax, true, minlp::BnbOptions{});
+  ASSERT_TRUE(solved.used_minlp);
+  EXPECT_EQ(solved.allocation.str(),
+            allocation_from_minlp(tasks, bnb.x, Objective::MinMax).str());
+  EXPECT_EQ(solved.solver.status, "optimal");
+  EXPECT_EQ(solved.solver.nodes, bnb.nodes);
+  EXPECT_EQ(solved.solver.lp_pivots, bnb.lp_pivots);
+  EXPECT_EQ(solved.solver.refactorizations, bnb.lp_stats.refactorizations);
+  EXPECT_EQ(solved.solver.phase1_pivots, bnb.lp_stats.phase1_pivots);
+  EXPECT_EQ(solved.solver.bounds_tightened, bnb.bounds_tightened);
+  EXPECT_GT(solved.solver.refactorizations, 0u);
+  // The exported seed: the allocation, the optimum and the pool.
+  ASSERT_EQ(solved.seed.nodes_by_task.size(), tasks.size());
+  for (std::size_t f = 0; f < tasks.size(); ++f)
+    EXPECT_EQ(solved.seed.nodes_by_task[f], solved.allocation.tasks[f].nodes);
+  EXPECT_EQ(solved.seed.x, bnb.x);
+  EXPECT_EQ(solved.seed.cuts.size(), bnb.pool_cuts.size());
+  EXPECT_EQ(solved.seed.models.size(), tasks.size());
+}
+
+TEST(BudgetSolve, OutOfBoxSeedNodesAreClampedAndAccepted) {
+  // Seed node counts far above the new per-task bounds (a shrunken budget
+  // after a node failure) are clamped into the box before lifting.
+  auto tasks = seam_tasks(false);
+  for (auto& t : tasks) t.max_nodes = 10;
+  SolveSeed seed;
+  seed.nodes_by_task = {40, 1, 1};
+  const auto cold =
+      budget_solve(tasks, 30, Objective::MinMax, true, minlp::BnbOptions{});
+  const auto warm = budget_solve(tasks, 30, Objective::MinMax, true,
+                                 minlp::BnbOptions{}, &seed);
+  EXPECT_TRUE(warm.seed_accepted);
+  EXPECT_EQ(bits(warm.allocation.predicted_total),
+            bits(cold.allocation.predicted_total));
+}
+
+TEST(BudgetSolve, CutsAreReusedOnlyForBitwiseEqualTaskModels) {
+  const auto tasks = seam_tasks(true);
+  SolveSeed seed;
+  seed.cuts = {poison_cut()};
+  for (const auto& t : tasks) seed.models.push_back(t.model);
+  // Equal models: the (poisoned) pool is applied and the search fails.
+  const auto poisoned = budget_solve(tasks, 48, Objective::MinMax, true,
+                                     minlp::BnbOptions{}, &seed);
+  EXPECT_TRUE(poisoned.allocation.tasks.empty());
+  EXPECT_TRUE(poisoned.seed.nodes_by_task.empty());
+
+  // One parameter one ulp away: the pool is refused.
+  auto moved = tasks;
+  moved[1].model = perf::Model{std::nextafter(250.0, 300.0), 0.04, 1.1, 0.5};
+  moved[1].model.add(perf::make_comm_term(0.4, 0.5));
+  const auto refused = budget_solve(moved, 48, Objective::MinMax, true,
+                                    minlp::BnbOptions{}, &seed);
+  EXPECT_EQ(refused.solver.status, "optimal");
+  EXPECT_EQ(refused.allocation.tasks.size(), tasks.size());
+
+  // Same fitted parameters, different pinned comm constant: refused too.
+  auto other_link = seam_tasks(false);
+  for (auto& t : other_link) t.model.add(perf::make_comm_term(0.4, 0.25));
+  const auto refused_link = budget_solve(other_link, 48, Objective::MinMax,
+                                         true, minlp::BnbOptions{}, &seed);
+  EXPECT_EQ(refused_link.solver.status, "optimal");
+}
+
+TEST(BudgetSolve, CommModelCutsAreRefusedForAModelWithoutComm) {
+  // The donor's cuts live in a split-variable layout (s_f columns past
+  // the plain model's last column); reusing them would index columns the
+  // plain model does not have. Its fitted parameters are identical.
+  const auto donor = budget_solve(seam_tasks(true), 48, Objective::MinMax,
+                                  true, minlp::BnbOptions{});
+  ASSERT_FALSE(donor.seed.cuts.empty());
+  const auto plain = seam_tasks(false);
+  const auto warm = budget_solve(plain, 48, Objective::MinMax, true,
+                                 minlp::BnbOptions{}, &donor.seed);
+  SolveSeed stripped = donor.seed;
+  stripped.cuts.clear();
+  const auto no_cuts = budget_solve(plain, 48, Objective::MinMax, true,
+                                    minlp::BnbOptions{}, &stripped);
+  const auto cold =
+      budget_solve(plain, 48, Objective::MinMax, true, minlp::BnbOptions{});
+  EXPECT_EQ(warm.solver.nodes, no_cuts.solver.nodes);
+  EXPECT_EQ(warm.solver.cuts, no_cuts.solver.cuts);
+  EXPECT_EQ(warm.solver.lp_pivots, no_cuts.solver.lp_pivots);
+  EXPECT_EQ(bits(warm.allocation.predicted_total),
+            bits(cold.allocation.predicted_total));
+}
+
+TEST(BudgetSolve, PredictTermsSumsTermSecondsPerName) {
+  const auto tasks = seam_tasks(true);
+  const auto alloc = solve_budget(tasks, 48, Objective::MinMax);
+  const auto terms = predict_terms(tasks, alloc, 3.0);
+  ASSERT_EQ(terms.size(), 2u);
+  EXPECT_EQ(terms[0].term, "powerlaw");
+  EXPECT_EQ(terms[1].term, "comm");
+  double powerlaw = 0.0, comm = 0.0;
+  for (std::size_t f = 0; f < tasks.size(); ++f) {
+    const double n = static_cast<double>(alloc.tasks[f].nodes);
+    powerlaw += 3.0 * tasks[f].model.term_seconds(0, n);
+    comm += 3.0 * tasks[f].model.term_seconds(1, n);
+  }
+  EXPECT_EQ(bits(terms[0].predicted_seconds), bits(powerlaw));
+  EXPECT_EQ(bits(terms[1].predicted_seconds), bits(comm));
 }
 
 }  // namespace

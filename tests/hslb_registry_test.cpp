@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "cesm/pipeline.hpp"
@@ -286,6 +287,47 @@ TEST_F(RegistryTest, FmoMinlpPipelineIdenticalForEveryPoolSize) {
     EXPECT_EQ(b.phase1_pivots, a.phase1_pivots);
     EXPECT_EQ(b.dual_pivots, a.dual_pivots);
     expect_reports_identical(runs[i].report, runs[0].report);
+  }
+}
+
+TEST_F(RegistryTest, MinlpMaxMinRunsTheGreedyOnEverySubstrate) {
+  // Max-min has no MINLP encoding: asking for the MINLP solve gives the
+  // allocation of the plain greedy run (it used to abort in
+  // build_budget_minlp).
+  const auto& reg = SubstrateRegistry::instance();
+  for (const char* substrate : {"fmo", "fmm", "amrex"}) {
+    ScenarioSpec spec;
+    spec.substrate = substrate;
+    spec.tasks = 6;
+    spec.nodes = substrate == std::string("fmo") ? 48 : 24;
+    spec.objective = Objective::MaxMin;
+    const auto greedy = Pipeline(single_thread()).run(*reg.make(spec));
+    spec.minlp = true;
+    const auto minlp = Pipeline(single_thread()).run(*reg.make(spec));
+    EXPECT_EQ(minlp.solution.allocation.str(), greedy.solution.allocation.str())
+        << substrate;
+    EXPECT_EQ(minlp.report.solver.status, "max-min exact greedy") << substrate;
+    EXPECT_EQ(minlp.report.solver.nodes, 0u) << substrate;
+  }
+}
+
+TEST_F(RegistryTest, WaveSubstrateMinlpReportsCarryTheLpCounters) {
+  // The wave engine's reports map the whole BnbResult, LP kernel and
+  // presolve counters included, like FMO and CESM.
+  const auto& reg = SubstrateRegistry::instance();
+  for (const char* substrate : {"fmm", "amrex"}) {
+    ScenarioSpec spec;
+    spec.substrate = substrate;
+    spec.tasks = 16;
+    spec.nodes = 64;
+    spec.minlp = true;
+    const auto run = Pipeline(single_thread()).run(*reg.make(spec));
+    const SolverStats& s = run.report.solver;
+    EXPECT_GT(s.nodes, 0u) << substrate;
+    EXPECT_GT(s.refactorizations + s.ft_updates + s.phase1_pivots +
+                  s.dual_pivots + s.presolve_rows_removed,
+              0u)
+        << substrate;
   }
 }
 

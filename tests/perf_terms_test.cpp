@@ -136,5 +136,24 @@ TEST(Terms, PinnedOnlySpecNeedsNoFit) {
   EXPECT_NEAR(fit.r2, 1.0, 1e-12);
 }
 
+TEST(Terms, ModelEqualityComparesTermsConstantsAndParameters) {
+  const Model pl{100.0, 0.1, 1.2, 0.5};
+  auto with = [&](TermPtr term) {
+    CostModel m(pl);
+    m.add(std::move(term));
+    return m;
+  };
+  EXPECT_EQ(CostModel(pl), CostModel(pl));
+  EXPECT_NE(CostModel(pl), CostModel(Model{100.0, 0.1, 1.2, 0.6}));
+  EXPECT_EQ(with(make_comm_term(0.5, 2.0)), with(make_comm_term(0.5, 2.0)));
+  EXPECT_NE(with(make_comm_term(0.5, 2.0)), CostModel(pl));
+  // Pinned terms have no parameters: their constants tell them apart.
+  EXPECT_NE(with(make_comm_term(0.5, 2.0)), with(make_comm_term(0.5, 1.0)));
+  EXPECT_NE(with(make_memory_term(4.0, 2.0, 0.5)),
+            with(make_memory_term(4.0, 1.0, 0.5)));
+  EXPECT_NE(with(make_memory_term(4.0, 2.0, 0.0)),
+            with(make_comm_term(4.0, 2.0)));
+}
+
 }  // namespace
 }  // namespace hslb::perf

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -240,6 +242,19 @@ TEST(AllocationService, MaxMinRequestsUseExactGreedyAndNeverWarm) {
     EXPECT_EQ(r.bnb_nodes, 0u);
   }
   EXPECT_EQ(srv.report().warm_solves, 0u);
+
+  // fmo requests too: the pipeline's Solve step runs the greedy (it used
+  // to abort the script in build_budget_minlp).
+  Request fmo_maxmin = fmo_request(48, 6);
+  fmo_maxmin.objective = Objective::MaxMin;
+  Request fmo_neighbour = fmo_maxmin;
+  fmo_neighbour.budget = 40;
+  for (const auto& r : srv.run_script({fmo_maxmin, fmo_neighbour})) {
+    EXPECT_EQ(r.status, "max-min exact greedy");
+    EXPECT_FALSE(r.warm_seeded);
+    EXPECT_EQ(r.allocation.tasks.size(), 6u);
+  }
+  EXPECT_EQ(srv.report().warm_solves, 0u);
 }
 
 TEST(AllocationService, PercentImbalanceMatchesDefinition) {
@@ -288,6 +303,37 @@ TEST(AllocationService, FmoRequestsRunTheFullPipelineAndWarmStart) {
   const Response cold_f2 = cold.handle(f2);
   EXPECT_NEAR(out[2].objective_value, cold_f2.objective_value,
               1e-9 * std::abs(cold_f2.objective_value));
+}
+
+TEST(AllocationService, DonorCutsFromAnotherMachineAreNotReused) {
+  // Same comm-bound system, so identical fitted models; only the donor's
+  // machine charges communication, which adds a split variable per
+  // fragment to its MINLP. Its cut pool indexes those columns and must not
+  // seed the compute-only instance (it used to abort the whole script).
+  Request donor;
+  donor.kind = RequestKind::Fmo;
+  donor.family = "comm";
+  donor.fragments = 16;
+  donor.budget = 64;
+  donor.system_seed = 11;
+  donor.link_gb = 0.5;
+  Request target = donor;
+  target.link_gb = std::numeric_limits<double>::infinity();
+
+  ServiceOptions opt;
+  opt.batch = 1;
+  AllocationService srv(opt);
+  const auto out = srv.run_script({donor, target});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].donor_signature, signature(canonicalize(donor)));
+  EXPECT_FALSE(out[1].audit_fallback);
+
+  ServiceOptions cold_opt;
+  cold_opt.warm_start = false;
+  AllocationService cold(cold_opt);
+  const Response cold_target = cold.handle(target);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(out[1].objective_value),
+            std::bit_cast<std::uint64_t>(cold_target.objective_value));
 }
 
 }  // namespace
